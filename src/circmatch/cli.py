@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .alphabet import AlphabetError, build_alphabet, to_bytes
 from .bench import Experiment, format_table, run_experiment
-from .qgramindex import IndexBudgetError, QGramIndex, build_index
+from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
 from .searcher import (
     PlanError,
     SearchPlan,
@@ -83,13 +83,17 @@ class RunConfig:
             self.out = sys.stdout
 
 
-def _load_cached_index(cfg, alphabet):
+def _load_cached_index(cfg, alphabet, pattern):
     if not cfg.index_cache:
         return None
     try:
         idx = QGramIndex.load(cfg.index_cache)
     except FileNotFoundError:
         return None
+    if idx.digest != pattern_digest(pattern):
+        raise ValueError(
+            "cached index was built for a different pattern; remove the cache file"
+        )
     if idx.alphabet != alphabet:
         raise ValueError(
             "cached index was built for a different alphabet; remove the cache file"
@@ -170,12 +174,12 @@ def run(cfg: RunConfig) -> int:
             mode_used = pln.mode
             idx = None
             if pln.mode == "filter":
-                idx = _load_cached_index(cfg, alphabet)
+                idx = _load_cached_index(cfg, alphabet, pattern)
                 if idx is not None and idx.q != pln.q:
                     # the cache fixes q; replan around it (raises if infeasible)
                     pln = plan(m, cfg.k, alphabet, q=idx.q, c=cfg.c, epsilon=cfg.epsilon)
                 if idx is None:
-                    idx = build_index(cfg.pattern, pln.q, alphabet)
+                    idx = build_index(pattern, pln.q, alphabet)
                     if cfg.index_cache:
                         idx.save(cfg.index_cache)
             for name, seq in records:

@@ -1,18 +1,19 @@
-"""Q-gram index: minimum edit distance from every q-gram to the short
-factors of the doubled pattern.
+"""Q-gram index: minimum edit distance from every q-gram to the factors
+of the doubled pattern.
 
-The doubled pattern x + x[:-1] contains every rotation of x as a factor,
-so its factors of length up to 2q are exactly the material any rotation
-can align a q-gram against.  The index array M holds, for each of the
-sigma^q grams, the minimum edit distance to any such factor (the empty
-factor included, so entries never exceed q).  M[code] then lower-bounds
-the distance between that gram and anything inside any rotation, which is
-what makes discarding windows on summed lookups safe.
+The doubled pattern x + x[:-1] contains every rotation of x as a factor.
+The index array M holds, for each of the sigma^q grams, the minimum edit
+distance to any factor of it, the empty factor included, so entries never
+exceed q.  M[code] then lower-bounds the distance between that gram and
+anything inside any rotation, which is what makes discarding windows on
+summed lookups safe.
 
-The builder walks the complete prefix trie of all grams level by level:
-one DP row per trie node against each sliding window of the doubled
-pattern, all nodes of a level advanced with vectorized minima.  Window
-positions are processed in memory-bounded chunks.
+A factor longer than 2q is more than q edits from a q-gram and so never
+beats the empty factor; the entry is therefore the minimum of the last row
+of the free-start DP of Sellers (1980) of the gram against the whole
+doubled pattern.  The builder walks the prefix trie of all grams level by
+level, one uint8 row of 2m cells per trie node, and advances all nodes of
+a level with a few vectorized minima.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, encode_qgram, enumerate_qgrams, to_bytes
+from .alphabet import Alphabet, AlphabetError, encode_qgram, enumerate_qgrams, to_bytes
 from .editcore import full_edit_distance
 
-MAGIC = b"CIRCIDX1"
+MAGIC = b"CIRCIDX2"
+OLD_MAGIC = b"CIRCIDX1"
+DIGEST_LEN = 32
 DEFAULT_MAX_ENTRIES = 1 << 26
 DEFAULT_MAX_WORK = 1 << 29
 
@@ -45,11 +48,21 @@ def build_doubled(x: str | bytes) -> bytes:
     return xb + xb[:-1]
 
 
+def pattern_digest(x: str | bytes) -> bytes:
+    """SHA-256 of the pattern an index was built from."""
+    # imported here: hashlib loads OpenSSL, about 3.5 MB resident, which
+    # runs that never build or load an index should not pay
+    import hashlib
+
+    return hashlib.sha256(to_bytes(x)).digest()
+
+
 @dataclass
 class QGramIndex:
     q: int
     alphabet: Alphabet
     entries: np.ndarray  # uint8, sigma**q values in [0, q]
+    digest: bytes  # pattern_digest of the pattern
 
     def lookup(self, code: int) -> int:
         return int(self.entries[code])
@@ -59,14 +72,17 @@ class QGramIndex:
             isinstance(other, QGramIndex)
             and self.q == other.q
             and self.alphabet == other.alphabet
+            and self.digest == other.digest
             and np.array_equal(self.entries, other.entries)
         )
 
     def to_bytes(self) -> bytes:
+        """MAGIC, sigma, q, pattern digest, letters, entries."""
         sigma = self.alphabet.size
         return (
             MAGIC
             + bytes([sigma, self.q])
+            + self.digest
             + self.alphabet.letters
             + self.entries.tobytes()
         )
@@ -77,24 +93,53 @@ class QGramIndex:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "QGramIndex":
-        if blob[: len(MAGIC)] != MAGIC:
+        if blob.startswith(OLD_MAGIC):
+            raise ValueError(
+                "index file has the old CIRCIDX1 layout without a pattern digest; "
+                "delete it so that it is rebuilt"
+            )
+        if not blob.startswith(MAGIC):
             raise ValueError("not an index file (bad magic)")
-        sigma = blob[len(MAGIC)]
-        q = blob[len(MAGIC) + 1]
-        off = len(MAGIC) + 2
-        letters = blob[off : off + sigma]
-        off += sigma
-        want = sigma**q
-        body = blob[off:]
-        if len(body) != want:
-            raise ValueError(f"index body has {len(body)} entries, expected {want}")
+        off = len(MAGIC) + 2 + DIGEST_LEN
+        if len(blob) < off or len(blob) < off + blob[len(MAGIC)]:
+            raise ValueError("index file header is truncated")
+        sigma, q = blob[len(MAGIC)], blob[len(MAGIC) + 1]
+        if q < 1:
+            raise ValueError("index file has q = 0")
+        try:
+            alphabet = Alphabet(blob[off : off + sigma])
+        except AlphabetError as exc:
+            raise ValueError(f"index file has bad letters: {exc}") from None
+        body = blob[off + sigma :]
+        if len(body) != sigma**q:
+            raise ValueError(f"index body has {len(body)} entries, expected {sigma**q}")
         arr = np.frombuffer(body, dtype=np.uint8).copy()
-        return cls(q=q, alphabet=Alphabet(letters), entries=arr)
+        if arr.max() > q:
+            raise ValueError(f"index file has an entry above q = {q}")
+        return cls(q=q, alphabet=alphabet, entries=arr, digest=blob[off - DIGEST_LEN : off])
 
     @classmethod
     def load(cls, path) -> "QGramIndex":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _grow(rows: np.ndarray, level: int, depth: int, mism: np.ndarray) -> np.ndarray:
+    """DP rows of the trie nodes `depth` levels below the nodes `rows` at
+    `level`; the children of node p are p*sigma .. p*sigma + sigma - 1."""
+    sigma, w = len(mism), rows.shape[1]
+    for i in range(level + 1, level + depth + 1):
+        nxt = np.empty((len(rows), sigma, w), dtype=np.uint8)
+        nxt[..., 0] = i
+        np.minimum(rows[:, None, :-1] + mism, rows[:, None, 1:] + np.uint8(1), out=nxt[..., 1:])
+        # min(D[j], D[j-1] + 1): cells are at most i, so chains shorter
+        # than i suffice, and shifts 1, 2, 4, ... compose them
+        s = 1
+        while s < i:
+            np.minimum(nxt[..., s:], nxt[..., :-s] + np.uint8(s), out=nxt[..., s:])
+            s *= 2
+        rows = nxt.reshape(-1, w)
+    return rows
 
 
 def build_index(
@@ -105,9 +150,12 @@ def build_index(
     max_chunk_bytes: int = 48 << 20,
 ) -> QGramIndex:
     """Index of minimum distances from every q-gram to the factors of the
-    doubled pattern of length at most 2q.
+    doubled pattern.
 
-    Requires 1 <= q < len(x) and sigma^q within the entry budget.
+    Requires 1 <= q < len(x) and sigma^q within the entry budget.  When the
+    rows of the last trie level would exceed `max_chunk_bytes`, the top
+    levels are built once and the subtree below each node of the shallowest
+    depth that fits is finished in turn.
     """
     xb = to_bytes(x)
     m = len(xb)
@@ -122,44 +170,18 @@ def build_index(
             f"{sigma}^{q} = {total} index entries exceed the budget of {max_entries}",
             required=total,
         )
-    xp = build_doubled(xb)
-    width = 2 * q  # window length; every short factor is a window prefix
-    n_windows = 2 * m - q  # starts 0 .. 2m-q-1, each window at least q long
-    # windows padded to fixed width with an out-of-alphabet marker; padded
-    # columns can never undercut the minimum over the real prefixes
-    win = np.full((n_windows, width), 256, dtype=np.int16)
-    for i in range(n_windows):
-        chunk = xp[i : i + width]
-        win[i, : len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-    m_arr = np.full(total, 255, dtype=np.uint8)
-    wc = max(1, min(n_windows, max_chunk_bytes // (total * (width + 1))))
-    # offset so the running prefix minimum stays non-negative in uint8:
-    # scan(j) = min_{j' <= j} cell(j') + (j - j') done as a cumulative
-    # minimum of cell(j) + (width - j)
-    ramp = np.arange(width, 0, -1, dtype=np.uint8)  # width - j for j = 1..width
-    for w0 in range(0, n_windows, wc):
-        w1 = min(w0 + wc, n_windows)
-        nw = w1 - w0
-        mism = [
-            (win[w0:w1] != np.int16(letter)).astype(np.uint8) for letter in a.letters
-        ]
-        rows = np.tile(np.arange(width + 1, dtype=np.uint8), (1, nw, 1))
-        for level in range(q):
-            parents = rows.shape[0]
-            nxt = np.empty((parents * sigma, nw, width + 1), dtype=np.uint8)
-            for li in range(sigma):
-                child = nxt[li::sigma]
-                body = child[:, :, 1:]
-                np.minimum(rows[:, :, :-1] + mism[li], rows[:, :, 1:] + 1, out=body)
-                child[:, :, 0] = level + 1
-                body += ramp
-                np.minimum(body[:, :, 0], np.uint8(level + 1 + width), out=body[:, :, 0])
-                np.minimum.accumulate(body, axis=2, out=body)
-                body -= ramp
-            rows = nxt
-        best = rows.min(axis=(1, 2))
-        np.minimum(m_arr, best, out=m_arr)
-    return QGramIndex(q=q, alphabet=a, entries=m_arr)
+    xp = np.frombuffer(build_doubled(xb), dtype=np.uint8)
+    mism = (xp != np.frombuffer(a.letters, dtype=np.uint8)[:, None]).view(np.uint8)
+    row_bytes = 2 * (2 * m)  # a row of 2m cells and its share of one temporary
+    depth = 0
+    while depth < q and sigma ** (q - depth) * row_bytes > max_chunk_bytes:
+        depth += 1
+    # row 0 is all zero: an alignment may start anywhere in the pattern
+    tops = _grow(np.zeros((1, 2 * m), dtype=np.uint8), 0, depth, mism)
+    entries = np.concatenate(
+        [_grow(top[None], depth, q - depth, mism).min(axis=1) for top in tops]
+    )
+    return QGramIndex(q=q, alphabet=a, entries=entries, digest=pattern_digest(xb))
 
 
 def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
@@ -191,4 +213,4 @@ def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
                 if best == 0:
                     break
         entries[encode_qgram(gram, a)] = best
-    return QGramIndex(q=q, alphabet=a, entries=entries)
+    return QGramIndex(q=q, alphabet=a, entries=entries, digest=pattern_digest(xb))

@@ -102,7 +102,13 @@ def _best_c(m: int, k: int, q: int, sigma: int, epsilon: float) -> tuple[float, 
 
 
 def _q_caps(m: int, sigma: int, max_entries: int, max_work: int) -> int:
-    """Largest q whose index fits both the entry and the build-work budget."""
+    """Largest q whose index fits both the entry and the build-work budget.
+
+    The work term is a planning bound kept unchanged on purpose: it models
+    an older window-matrix builder and overstates the cost of the trie
+    build, but changing it would move plans, and with them q and every scan
+    counter.  Recalibrating it belongs to choosing plans by cost.
+    """
     q = 0
     while True:
         nq = q + 1

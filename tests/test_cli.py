@@ -1,9 +1,11 @@
 import io
+import random
 import sys
 
 import pytest
 
 from circmatch.cli import FastaError, ingest_fasta, main
+from helpers import plant_edited_rotation, random_string
 
 
 def run_cli(argv, capsys):
@@ -140,6 +142,59 @@ def test_cli_fold_case(tmp_path, capsys):
         ["--pattern", "ACGTACGT", "--text", str(text), "--fold-case"], capsys
     )
     assert code == 0 and out.count("\n") >= 1
+
+
+def test_cli_fold_case_filter_matches_oracle(tmp_path, capsys):
+    # the index must be built from the folded pattern, or a lower-case
+    # pattern gets entries for letters outside the alphabet
+    rng = random.Random(32)
+    pattern = random_string(rng, b"acgt", 32)
+    t = bytearray(random_string(rng, b"acgt", 3000))
+    for _ in range(6):
+        plant_edited_rotation(rng, t, pattern, 1, b"acgt")
+    text = tmp_path / "t.txt"
+    text.write_bytes(bytes(t))
+    args = ["--pattern", pattern.decode(), "--text", str(text), "-k", "1",
+            "--alphabet", "dna", "--fold-case"]
+    code, auto, _ = run_cli(args + ["--stats"], capsys)
+    assert code == 0 and "# mode=filter\n" in auto
+    auto = "".join(line for line in auto.splitlines(True) if not line.startswith("#"))
+    code, oracle, _ = run_cli(args + ["--mode", "oracle"], capsys)
+    assert code == 0 and oracle and auto == oracle
+
+
+def _cache_args(tmp_path, pattern):
+    text = tmp_path / "t.txt"
+    text.write_text("ACGTTGCAACGTACGTACGTTGCA" * 8)
+    return ["--pattern", pattern, "--text", str(text), "-k", "1",
+            "--alphabet", "dna", "--index-cache", str(tmp_path / "idx.bin")]
+
+
+def test_cli_index_cache_rejects_other_pattern(tmp_path, capsys):
+    code, _, _ = run_cli(_cache_args(tmp_path, "ACGTACGTACGTTGCA"), capsys)
+    assert code == 0
+    code, out, err = run_cli(_cache_args(tmp_path, "TTGCAACGTACGTACG"), capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "different pattern" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda blob: blob[:8], id="magic-only"),
+        pytest.param(lambda blob: blob[:44], id="cut-inside-letters"),
+        pytest.param(lambda blob: blob[:-1] + bytes([blob[9] + 1]), id="entry-above-q"),
+        pytest.param(lambda blob: b"CIRCIDX1" + blob[8:10] + blob[42:], id="old-layout"),
+    ],
+)
+def test_cli_corrupt_index_cache_exits_2(tmp_path, capsys, corrupt):
+    args = _cache_args(tmp_path, "ACGTACGTACGTTGCA")
+    run_cli(args, capsys)
+    cache = tmp_path / "idx.bin"
+    cache.write_bytes(corrupt(cache.read_bytes()))
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_index_cache_roundtrip(tmp_path, capsys):

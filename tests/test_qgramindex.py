@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circmatch import (
     IndexBudgetError,
@@ -79,6 +82,56 @@ def test_vectorized_matches_brute_force():
         assert build_index(x, q, a) == brute_force_index(x, q, a)
 
 
+# the exhaustive reference costs about sigma^q * m * q^3 steps; the cap keeps
+# one example under a second (sigma^q = 4096 at q = 12 would take a minute)
+REFERENCE_WORK = 1 << 18
+
+
+@st.composite
+def index_cases(draw):
+    sigma = draw(st.sampled_from([2, 3, 4, 20]))
+    m = draw(st.integers(2, 32))
+    q_max = 1
+    while (
+        q_max + 1 < m
+        and sigma ** (q_max + 1) <= 4096
+        and sigma ** (q_max + 1) * m * (q_max + 1) ** 3 <= REFERENCE_WORK
+    ):
+        q_max += 1
+    q = draw(st.integers(1, q_max))
+    letters = letters_for(sigma)
+    if draw(st.booleans()):
+        x = bytes([draw(st.sampled_from(letters))]) * m
+    else:
+        x = bytes(draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m)))
+    return letters, x, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_cases())
+@example((b"ab", b"aaaaaaa", 6))  # one letter repeated, q = m - 1
+@example((b"abcd", b"cccccccccccc", 3))  # one letter repeated
+@example((b"ab", b"abbab", 4))  # q = m - 1
+@example((b"abc", b"ca", 1))  # m = 2
+@example((letters_for(20), b"ta", 1))  # m = 2, sigma = 20
+@example((b"abc", b"cacbb", 4))  # needs a pattern letter skipped at row 2
+@example((b"ab", b"baabbbaabb", 8))  # needs two pattern letters skipped in a row
+def test_build_matches_brute_force_property(case):
+    # brute_force_index scores every factor with full_edit_distance, so it
+    # shares no kernel with the trie builder
+    letters, x, q = case
+    a = build_alphabet(letters)
+    assert build_index(x, q, a) == brute_force_index(x, q, a)
+
+
+@pytest.mark.parametrize("max_chunk_bytes", [1, 1 << 10, 1 << 14, 1 << 18])
+def test_chunked_build_matches_default(max_chunk_bytes):
+    rng = random.Random(64)
+    a = build_alphabet("ACGT")
+    x = random_string(rng, b"ACGT", 64)
+    assert build_index(x, 6, a, max_chunk_bytes=max_chunk_bytes) == build_index(x, 6, a)
+
+
 def test_entries_bounded_by_q():
     a = build_alphabet("ab")
     idx = build_index(b"abba", 3, a)
@@ -132,10 +185,11 @@ def test_serialization_roundtrip(tmp_path):
     assert loaded == idx
     assert np.array_equal(loaded.entries, idx.entries)
     blob = idx.to_bytes()
-    assert blob.startswith(b"CIRCIDX1")
+    assert blob.startswith(b"CIRCIDX2")
     assert blob[8] == 4 and blob[9] == 3
-    assert blob[10:14] == b"ACGT"
-    assert len(blob) == 14 + 4**3
+    assert blob[10:42] == hashlib.sha256(x).digest()
+    assert blob[42:46] == b"ACGT"
+    assert len(blob) == 46 + 4**3
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -143,3 +197,23 @@ def test_load_rejects_garbage(tmp_path):
     p.write_bytes(b"NOTANIDX" + b"\x00" * 32)
     with pytest.raises(ValueError):
         QGramIndex.load(p)
+
+
+def _cache_blob() -> bytes:
+    return build_index(b"ACGTTGCA", 3, build_alphabet("ACGT")).to_bytes()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(b"CIRCIDX2", id="magic-only"),
+        pytest.param(_cache_blob()[:44], id="cut-inside-letters"),
+        pytest.param(_cache_blob()[:9] + b"\x00" + _cache_blob()[10:], id="q-zero"),
+        pytest.param(_cache_blob()[:42] + b"AACC" + _cache_blob()[46:], id="duplicate-letters"),
+        pytest.param(_cache_blob()[:-1] + b"\x04", id="entry-above-q"),
+        pytest.param(b"CIRCIDX1\x04\x03ACGT" + bytes(64), id="old-layout"),
+    ],
+)
+def test_from_bytes_rejects_corrupt_header(blob):
+    with pytest.raises(ValueError):
+        QGramIndex.from_bytes(blob)
