@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from .alphabet import AlphabetError, build_alphabet, to_bytes
 from .bench import Experiment, format_table, run_experiment
@@ -79,6 +80,8 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
+        if self.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {self.threads}")
         if self.out is None:
             self.out = sys.stdout
 
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
         if args.pattern is not None:
             pattern = to_bytes(args.pattern)
         else:
-            raw = open(args.pattern_file, "rb").read()
+            raw = Path(args.pattern_file).read_bytes()
             while raw.endswith(b"\n") or raw.endswith(b"\r"):
                 raw = raw[:-1]
             pattern = raw

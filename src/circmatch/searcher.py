@@ -25,14 +25,16 @@ window, which stays correct at O(n m k / (m-k)) expected cost.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._vectordp import min_prefix_distances
 from .alphabet import Alphabet, encode_qgram, to_bytes
+from .bitparallel import RotationScreen
 from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex
 from .verifier import Block, Occurrence, dedup_occurrences, verify_block
 
@@ -315,6 +317,7 @@ def search(
     filtering = plan.mode == "filter"
     if filtering and idx is None:
         raise ValueError("filter mode needs a q-gram index")
+    screen = None  # built on the first verification, shared by all blocks
     p = 0
     last = n - wlen
     while p <= last:
@@ -329,7 +332,9 @@ def search(
             stats.windows_verified += 1
             block = Block(p, tb[p : p + 2 * m])
             stats.chars_inspected += len(block.data)
-            occs.extend(verify_block(xb, k, block))
+            if screen is None:
+                screen = RotationScreen(xb, k)
+            occs.extend(verify_block(xb, k, block, screen=screen))
             p += plan.verified_shift
         else:
             if collect_skips:
@@ -351,7 +356,8 @@ def search_chunked(
 ) -> tuple[list[Occurrence], SearchStats]:
     """Partition the text, search each chunk with 2m-1 letters of overlap,
     and merge.  The merged, deduplicated result is identical to the
-    single-pass output; chunks may run on a thread pool."""
+    single-pass output; chunks may run on a thread pool of at most
+    min(threads, chunks, CPU count) workers."""
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
     chunks = max(1, min(chunks, n or 1))
@@ -376,9 +382,9 @@ def search_chunked(
         ]
         return keep, st
 
-    results = []
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, jobs))
     else:
         results = [one(j) for j in jobs]

@@ -9,9 +9,14 @@ verify_block reports, for every candidate start and every rotation within
 distance k, one occurrence: the minimal distance and, among those, the
 minimal length.  Two engines produce identical output:
 
-  * the default engine screens each rotation with one reversed bit-parallel
-    pass (minimum distance per start) and recovers lengths with the
-    vectorized banded kernel only for rotations that hit;
+  * the default engine first screens the block with one packed
+    bit-parallel pass that advances all m rotations together
+    (`bitparallel.RotationScreen`: one field of m pattern bits plus a guard
+    bit per rotation, and a packed last-row score per field).  It answers
+    only whether some rotation comes within k at some candidate start, and
+    most blocks stop there.  A block that hits goes to the vectorized banded
+    kernel, which settles every (start, rotation) pair, distance and length,
+    so the output does not depend on the screen beyond that yes/no;
   * the wave engine walks starts and rotations exactly as the scheme is
     defined, maintaining the wave representation across one-letter pattern
     rotations and text prefix drops, and charging each wave-entry update to
@@ -87,10 +92,14 @@ def verify_block(
     *,
     use_waves: bool = False,
     tally: WorkTally | None = None,
+    screen: bitparallel.RotationScreen | None = None,
 ) -> list[Occurrence]:
     """All occurrences of any rotation of x with distance <= k whose start
     lies within the block's first m-k positions.  Deduplicated per
-    (start, rotation); an empty list is a normal outcome."""
+    (start, rotation); an empty list is a normal outcome.
+
+    `screen` is the packed screen of (x, k); a caller verifying many blocks
+    builds it once and passes it in, otherwise it is built here."""
     xb = to_bytes(x)
     m = len(xb)
     if m < 1:
@@ -103,24 +112,23 @@ def verify_block(
         return []
     if use_waves:
         return _verify_waves(xb, k, block, starts, tally)
-    return _verify_fast(xb, k, block, starts)
+    if screen is None:
+        screen = bitparallel.RotationScreen(xb, k)
+    elif (screen.x, screen.k) != (xb, k):
+        raise ValueError("screen was built for a different pattern or threshold")
+    return _verify_fast(xb, k, block, starts, screen)
 
 
-def _verify_fast(xb: bytes, k: int, block: Block, starts: int) -> list[Occurrence]:
+def _verify_fast(
+    xb: bytes, k: int, block: Block, starts: int, screen: bitparallel.RotationScreen
+) -> list[Occurrence]:
     m = len(xb)
     data = block.data
-    doubled = xb + xb
-    # cheap rejection: scan rotations until one admits a start within k;
-    # the batched band pass then settles every (start, rotation) pair
-    hit = False
-    for r in range(m):
-        mins = bitparallel.min_start_distances(doubled[r : r + m], data, starts)
-        if min(mins) <= k:
-            hit = True
-            break
-    if not hit:
+    # cheap rejection; the batched band pass then settles every
+    # (start, rotation) pair
+    if not screen.hit(data, starts):
         return []
-    rot_matrix = np.frombuffer(doubled, dtype=np.uint8)
+    rot_matrix = np.frombuffer(xb + xb, dtype=np.uint8)
     rot_matrix = np.lib.stride_tricks.sliding_window_view(rot_matrix, m)[:m]
     dmin, lmin = min_prefix_distances(
         rot_matrix, np.frombuffer(data, dtype=np.uint8), k, starts

@@ -218,6 +218,16 @@ def test_cli_threads_match_single(tmp_path, capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    text = tmp_path / "t.txt"
+    text.write_text("gattacagattaca")
+    args = ["--pattern", "gattacag", "--text", str(text), "-k", "1", "--threads", threads]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --threads must be at least 1") and err.count("\n") == 1
+
+
 def test_cli_pattern_file_and_stdin(tmp_path, capsys, monkeypatch):
     pf = tmp_path / "p.txt"
     pf.write_text("abcabc\n")

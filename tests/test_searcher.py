@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circmatch import (
     Occurrence,
@@ -16,6 +18,7 @@ from circmatch import (
     search,
     search_chunked,
 )
+from circmatch import searcher
 from circmatch.searcher import d_exponent
 from helpers import brute_search, letters_for, plant_edited_rotation, random_string
 
@@ -167,6 +170,49 @@ def test_oracle_matches_pure_brute_force():
         assert oracle_search(t, x, k) == brute_search(t, x, k)
 
 
+@st.composite
+def search_cases(draw):
+    sigma = draw(st.sampled_from([2, 4]))
+    m = draw(st.integers(2, 20))
+    # small thresholds are the ones a filter plan admits
+    k = draw(st.one_of(st.integers(0, m // 4), st.integers(0, m - 1)))
+    letters = st.sampled_from(letters_for(sigma))
+    x = bytes(draw(st.lists(letters, min_size=m, max_size=m)))
+    t = bytearray(draw(st.lists(letters, max_size=120)))
+    if draw(st.booleans()):
+        # a rotation with up to k substitutions, so that skips meet occurrences
+        r = draw(st.integers(0, m - 1))
+        rot = bytearray(x[r:] + x[:r])
+        for _ in range(draw(st.integers(0, k))):
+            rot[draw(st.integers(0, m - 1))] = draw(letters)
+        pos = draw(st.integers(0, len(t)))
+        t[pos:pos] = rot
+    t = bytes(t[:120])
+    epsilon = draw(st.sampled_from([0.5, 0.9]))
+    return sigma, x, k, t, epsilon
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+@example((4, b"abcdabcdabcdabcdabcd", 1, b"dabcdabcdabdabcdabcdaacbd" * 4, 0.9))
+@example((2, b"abbabaabbbaababbabaa", 1, b"babaabbbaababbabaaabb" * 5, 0.9))
+def test_search_matches_full_dp_property(case):
+    # both plans against the straight-line full DP, which shares no kernel
+    # with the screen or the banded pass
+    sigma, x, k, t, epsilon = case
+    m = len(x)
+    want = brute_search(t, x, k)
+    verify_all = SearchPlan(
+        mode="verify-all", m=m, k=k, window_len=m - k, verified_shift=m - k, epsilon=epsilon
+    )
+    assert search(t, x, k, verify_all)[0] == want
+    a = build_alphabet(letters_for(sigma))
+    p = plan(m, k, a, epsilon=epsilon, max_index_entries=256, max_index_work=1 << 20)
+    if p.mode == "filter":
+        idx = build_index(x, p.q, a, max_entries=256)
+        assert search(t, x, k, p, idx)[0] == want
+
+
 def test_search_matches_oracle_randomized():
     rng = random.Random(404)
     for i in range(60):
@@ -314,3 +360,34 @@ def test_chunked_equals_single():
         threaded, _ = search_chunked(t, x, k, p, idx, chunks=4, threads=4)
         assert chunked == single
         assert threaded == single
+
+
+def test_chunked_thread_pool_is_capped(monkeypatch):
+    # a huge --threads value must not start one OS thread per chunk; the
+    # stand-in executor records the pool size and runs the jobs inline
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(searcher, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 3)
+    x, t, k = b"abcab", b"abcabcabcaabcbacabcab" * 4, 1
+    p = plan(len(x), k, build_alphabet("abc"))
+    single, _ = search(t, x, k, p)
+    assert search_chunked(t, x, k, p, chunks=10**9, threads=10**9)[0] == single
+    assert search_chunked(t, x, k, p, chunks=2, threads=10**9)[0] == single
+    assert sizes == [3, 2]
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: None)
+    assert search_chunked(t, x, k, p, chunks=4, threads=4)[0] == single
+    assert sizes == [3, 2]

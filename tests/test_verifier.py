@@ -3,6 +3,7 @@ import random
 import pytest
 
 from circmatch import Occurrence, dedup_occurrences, rotate, verify_block
+from circmatch.bitparallel import RotationScreen
 from circmatch.editcore import WorkTally
 from circmatch.verifier import Block
 from helpers import brute_block_occurrences, letters_for, random_string
@@ -86,6 +87,9 @@ def test_verify_block_validates_inputs():
         verify_block(b"ab", 2, Block(0, b"ab"))
     with pytest.raises(ValueError):
         Block(0, b"")
+    for screen in (RotationScreen(b"abce", 1), RotationScreen(b"abcd", 2)):
+        with pytest.raises(ValueError):
+            verify_block(b"abcd", 1, Block(0, b"abcdabcd"), screen=screen)
 
 
 def test_engines_agree_with_brute_force():
@@ -100,6 +104,7 @@ def test_engines_agree_with_brute_force():
         block = Block(rng.randint(0, 9), data)
         ref = brute_block_occurrences(x, k, block)
         assert verify_block(x, k, block) == ref
+        assert verify_block(x, k, block, screen=RotationScreen(x, k)) == ref
         assert verify_block(x, k, block, use_waves=True) == ref
 
 
