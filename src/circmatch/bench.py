@@ -67,10 +67,7 @@ def run_experiment(e: Experiment) -> list[BenchRow]:
             pattern = random_letters(e.seed, 2000 + 100 * r + pi, m, e.sigma)
             t0 = time.perf_counter()
             if e.mode == "verify-all":
-                pln = SearchPlan(
-                    mode="verify-all", m=m, k=k, window_len=m - k,
-                    verified_shift=m - k, epsilon=0.5,
-                )
+                pln = SearchPlan.verify_all(m, k)
                 idx = None
             else:
                 pln = make_plan(

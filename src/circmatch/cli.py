@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .alphabet import AlphabetError, build_alphabet, to_bytes
 from .bench import Experiment, format_table, run_experiment
+from .bitparallel import RotationScreen
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
 from .searcher import (
     PlanError,
@@ -160,10 +161,7 @@ def run(cfg: RunConfig) -> int:
                     out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
         else:
             if cfg.mode == "verify-all":
-                pln = SearchPlan(
-                    mode="verify-all", m=m, k=cfg.k, window_len=m - cfg.k,
-                    verified_shift=m - cfg.k, epsilon=cfg.epsilon,
-                )
+                pln = SearchPlan.verify_all(m, cfg.k, cfg.epsilon)
             else:
                 pln = plan(m, cfg.k, alphabet, q=cfg.q, c=cfg.c, epsilon=cfg.epsilon)
                 if cfg.mode == "filter" and pln.mode != "filter":
@@ -185,13 +183,15 @@ def run(cfg: RunConfig) -> int:
                     idx = build_index(pattern, pln.q, alphabet)
                     if cfg.index_cache:
                         idx.save(cfg.index_cache)
+            screen = RotationScreen(pattern, cfg.k)  # shared by every record
             for name, seq in records:
                 if cfg.threads > 1:
                     occs, st = search_chunked(
-                        seq, pattern, cfg.k, pln, idx, chunks=cfg.threads, threads=cfg.threads
+                        seq, pattern, cfg.k, pln, idx, chunks=cfg.threads,
+                        threads=cfg.threads, screen=screen,
                     )
                 else:
-                    occs, st = search(seq, pattern, cfg.k, pln, idx)
+                    occs, st = search(seq, pattern, cfg.k, pln, idx, screen=screen)
                 found_any |= bool(occs)
                 totals["examined"] += st.windows_examined
                 totals["verified"] += st.windows_verified

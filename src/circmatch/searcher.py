@@ -36,7 +36,7 @@ from ._vectordp import min_prefix_distances
 from .alphabet import Alphabet, encode_qgram, to_bytes
 from .bitparallel import RotationScreen
 from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex
-from .verifier import Block, Occurrence, dedup_occurrences, verify_block
+from .verifier import Block, Occurrence, dedup_occurrences, screen_for, verify_block
 
 
 class PlanError(ValueError):
@@ -56,6 +56,14 @@ class SearchPlan:
     d: float | None = None
     j_grams: int | None = None
     unverified_shift: int | None = None  # worst case: all J grams read
+
+    @classmethod
+    def verify_all(cls, m: int, k: int, epsilon: float = 0.5) -> SearchPlan:
+        """The plan that verifies every window."""
+        return cls(
+            mode="verify-all", m=m, k=k, window_len=m - k,
+            verified_shift=m - k, epsilon=epsilon,
+        )
 
 
 @dataclass
@@ -202,10 +210,7 @@ def plan(
 
     q_cap = min(_q_caps(m, sigma, max_index_entries, max_index_work), (wlen - 1) // 2, m - 1)
     if q_cap < 1:
-        return SearchPlan(
-            mode="verify-all", m=m, k=k, window_len=wlen,
-            verified_shift=wlen, epsilon=epsilon,
-        )
+        return SearchPlan.verify_all(m, k, epsilon)
 
     if c is not None:
         dv = d_exponent(c, sigma)
@@ -249,10 +254,7 @@ def plan(
         cv, dv = got
         if _grams_per_window(k, cv, qv) * qv <= wlen:
             return make(qv, cv, dv)
-    return SearchPlan(
-        mode="verify-all", m=m, k=k, window_len=wlen,
-        verified_shift=wlen, epsilon=epsilon,
-    )
+    return SearchPlan.verify_all(m, k, epsilon)
 
 
 @dataclass(frozen=True)
@@ -298,12 +300,15 @@ def search(
     idx: QGramIndex | None = None,
     *,
     collect_skips: bool = False,
+    screen: RotationScreen | None = None,
 ) -> tuple[list[Occurrence], SearchStats]:
     """Scan the whole text and return every occurrence of every rotation,
     deduplicated, plus scan statistics.
 
     In filter mode the index must be given; in verify-all mode every
-    window is verified and the index is ignored.
+    window is verified and the index is ignored.  `screen` is the packed
+    verifier of (x, k); a caller searching many texts builds it once and
+    passes it in, otherwise it is built on the first verification.
     """
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
@@ -317,7 +322,8 @@ def search(
     filtering = plan.mode == "filter"
     if filtering and idx is None:
         raise ValueError("filter mode needs a q-gram index")
-    screen = None  # built on the first verification, shared by all blocks
+    if screen is not None:
+        screen = screen_for(xb, k, screen)
     p = 0
     last = n - wlen
     while p <= last:
@@ -333,7 +339,7 @@ def search(
             block = Block(p, tb[p : p + 2 * m])
             stats.chars_inspected += len(block.data)
             if screen is None:
-                screen = RotationScreen(xb, k)
+                screen = RotationScreen(xb, k)  # shared by all blocks
             occs.extend(verify_block(xb, k, block, screen=screen))
             p += plan.verified_shift
         else:
@@ -353,16 +359,20 @@ def search_chunked(
     idx: QGramIndex | None = None,
     chunks: int = 1,
     threads: int = 1,
+    *,
+    screen: RotationScreen | None = None,
 ) -> tuple[list[Occurrence], SearchStats]:
     """Partition the text, search each chunk with 2m-1 letters of overlap,
     and merge.  The merged, deduplicated result is identical to the
     single-pass output; chunks may run on a thread pool of at most
-    min(threads, chunks, CPU count) workers."""
+    min(threads, chunks, CPU count) workers and share one `screen`, as in
+    `search`."""
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
+    screen = screen_for(xb, k, screen)
     chunks = max(1, min(chunks, n or 1))
     if chunks == 1:
-        return search(tb, xb, k, plan, idx)
+        return search(tb, xb, k, plan, idx, screen=screen)
     bounds = [(n * i) // chunks for i in range(chunks + 1)]
     jobs = []
     for i in range(chunks):
@@ -374,7 +384,7 @@ def search_chunked(
 
     def one(job):
         core_start, core_end, data = job
-        found, st = search(data, xb, k, plan, idx)
+        found, st = search(data, xb, k, plan, idx, screen=screen)
         keep = [
             Occurrence(o.start + core_start, o.length, o.rotation, o.distance)
             for o in found

@@ -9,14 +9,13 @@ verify_block reports, for every candidate start and every rotation within
 distance k, one occurrence: the minimal distance and, among those, the
 minimal length.  Two engines produce identical output:
 
-  * the default engine first screens the block with one packed
-    bit-parallel pass that advances all m rotations together
-    (`bitparallel.RotationScreen`: one field of m pattern bits plus a guard
-    bit per rotation, and a packed last-row score per field).  It answers
-    only whether some rotation comes within k at some candidate start, and
-    most blocks stop there.  A block that hits goes to the vectorized banded
-    kernel, which settles every (start, rotation) pair, distance and length,
-    so the output does not depend on the screen beyond that yes/no;
+  * the default engine is the packed bit-parallel kernel
+    `bitparallel.RotationScreen` (one field of m pattern bits plus a guard
+    bit per rotation, and a packed last-row score per field).  One pass
+    over the block yields the distance of every (start, rotation) pair, and
+    most blocks end there with no field within k.  For each start that
+    hits, one more packed pass from that start finds the shortest length of
+    every hit rotation;
   * the wave engine walks starts and rotations exactly as the scheme is
     defined, maintaining the wave representation across one-letter pattern
     rotations and text prefix drops, and charging each wave-entry update to
@@ -27,11 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import bitparallel
-from ._vectordp import min_prefix_distances
 from .alphabet import to_bytes
+from .bitparallel import RotationScreen
 from .editcore import (
     WorkTally,
     occurrence_scan,
@@ -85,6 +81,18 @@ def dedup_occurrences(occs) -> list[Occurrence]:
     return [best[key] for key in sorted(best)]
 
 
+def screen_for(
+    x: bytes, k: int, screen: RotationScreen | None = None
+) -> RotationScreen:
+    """`screen` after checking that it was built for (x, k), or, when it is
+    None, a new screen of (x, k)."""
+    if screen is None:
+        return RotationScreen(x, k)
+    if (screen.x, screen.k) != (x, k):
+        raise ValueError("screen was built for a different pattern or threshold")
+    return screen
+
+
 def verify_block(
     x: str | bytes,
     k: int,
@@ -92,7 +100,7 @@ def verify_block(
     *,
     use_waves: bool = False,
     tally: WorkTally | None = None,
-    screen: bitparallel.RotationScreen | None = None,
+    screen: RotationScreen | None = None,
 ) -> list[Occurrence]:
     """All occurrences of any rotation of x with distance <= k whose start
     lies within the block's first m-k positions.  Deduplicated per
@@ -112,38 +120,11 @@ def verify_block(
         return []
     if use_waves:
         return _verify_waves(xb, k, block, starts, tally)
-    if screen is None:
-        screen = bitparallel.RotationScreen(xb, k)
-    elif (screen.x, screen.k) != (xb, k):
-        raise ValueError("screen was built for a different pattern or threshold")
-    return _verify_fast(xb, k, block, starts, screen)
-
-
-def _verify_fast(
-    xb: bytes, k: int, block: Block, starts: int, screen: bitparallel.RotationScreen
-) -> list[Occurrence]:
-    m = len(xb)
-    data = block.data
-    # cheap rejection; the batched band pass then settles every
-    # (start, rotation) pair
-    if not screen.hit(data, starts):
-        return []
-    rot_matrix = np.frombuffer(xb + xb, dtype=np.uint8)
-    rot_matrix = np.lib.stride_tricks.sliding_window_view(rot_matrix, m)[:m]
-    dmin, lmin = min_prefix_distances(
-        rot_matrix, np.frombuffer(data, dtype=np.uint8), k, starts
-    )
-    out: list[Occurrence] = []
-    for r, p in np.argwhere(dmin <= k):
-        out.append(
-            Occurrence(
-                start=block.text_offset + int(p),
-                length=int(lmin[r, p]),
-                rotation=int(r),
-                distance=int(dmin[r, p]),
-            )
-        )
-    return dedup_occurrences(out)
+    screen = screen_for(xb, k, screen)
+    return [
+        Occurrence(block.text_offset + p, length, r, d)
+        for p, length, r, d in screen.occurrences(data, starts)
+    ]
 
 
 def _verify_waves(

@@ -68,6 +68,33 @@ def brute_search(t: bytes, x: bytes, k: int) -> list[Occurrence]:
     return dedup_occurrences(out)
 
 
+def boundary_blocks() -> list[tuple[bytes, int, bytes]]:
+    """(pattern, k, block) cases at the packing boundaries m in {1, 2, 63,
+    64, 65}.  Every block is shorter than starts + m + k and most hold a
+    letter the pattern lacks.  The long patterns are random DNA or of period
+    three (a whole number of periods at m = 63, so rotations repeat), and
+    k = m - 3 leaves them three candidate starts, which keeps
+    `brute_block_occurrences` cheap; every rotation is then within k, so
+    every field is read."""
+    cases = [
+        (b"a", 0, b"az"),
+        (b"a", 0, b"zz"),
+        (b"ab", 1, b"bzb"),
+        (b"aa", 0, b"aaa"),
+        (b"ab", 0, b"bab"),
+    ]
+    for m, kinds in ((63, "p"), (64, "rp"), (65, "r")):
+        rng = random.Random(m)
+        for kind in kinds:
+            x = random_string(rng, b"acgt", m) if kind == "r" else (b"acg" * m)[:m]
+            r = rng.randrange(m)
+            data = bytearray((x[r:] + x[:r]) * 2)[: m + 6]
+            for _ in range(4):
+                data[rng.randrange(len(data))] = rng.choice(b"acgtn")
+            cases.append((x, m - 3, bytes(data)))
+    return cases
+
+
 def letters_for(sigma: int) -> bytes:
     return bytes(range(97, 97 + sigma)) if sigma <= 26 else bytes(range(sigma))
 

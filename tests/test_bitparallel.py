@@ -1,14 +1,19 @@
+import inspect
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circmatch import bitparallel
 from circmatch._vectordp import min_prefix_distances
 from circmatch.bitparallel import RotationScreen
 from circmatch.editcore import full_edit_distance
+from circmatch.verifier import Block, Occurrence
+from helpers import boundary_blocks, brute_block_occurrences
 
 
 def dp_scores(p: bytes, t: bytes) -> list[int]:
@@ -39,6 +44,19 @@ def start_distances(rho: bytes, data: bytes) -> list[int]:
     return [scores[n - p] for p in range(n)]
 
 
+def screen_distances(x: bytes, k: int, data: bytes) -> list[tuple[int, int, int]]:
+    starts = min(len(x) - k, len(data))
+    return [
+        (p, r, d) for p, dist in RotationScreen(x, k).distances(data, starts) for r, d in dist.items()
+    ]
+
+
+def dp_distances(x: bytes, k: int, data: bytes, dists) -> list[tuple[int, int, int]]:
+    """(start, rotation, distance) within k, from per-rotation start_distances."""
+    starts = min(len(x) - k, len(data))
+    return [(p, r, ds[p]) for p in range(starts) for r, ds in enumerate(dists) if ds[p] <= k]
+
+
 def test_exhaustive_small_binary():
     # every binary pattern of length <= 4, every threshold, and every block
     # of up to 2m letters; below m = 4 the blocks also use c, a letter the
@@ -50,12 +68,9 @@ def test_exhaustive_small_binary():
             for n in range(1, 2 * m + 1):
                 for t in itertools.product(letters, repeat=n):
                     data = bytes(t)
-                    rots = [x[r:] + x[:r] for r in range(m)]
-                    mins = [min(c) for c in zip(*(start_distances(rho, data) for rho in rots))]
+                    dists = [start_distances(x[r:] + x[:r], data) for r in range(m)]
                     for k in range(m):
-                        starts = min(m - k, n)
-                        want = min(mins[:starts]) <= k
-                        assert RotationScreen(x, k).hit(data, starts) == want
+                        assert screen_distances(x, k, data) == dp_distances(x, k, data, dists)
 
 
 @st.composite
@@ -99,27 +114,28 @@ def test_random_vs_dp(case):
     # every k < m, so the threshold that the best start only just meets is
     # always among them
     x, data = case
-    m, n = len(x), len(data)
-    rots = [x[r:] + x[:r] for r in range(m)]
-    mins = [min(c) for c in zip(*(start_distances(rho, data) for rho in rots))]
-    for k in range(m):
-        starts = min(m - k, n)
-        assert RotationScreen(x, k).hit(data, starts) == (min(mins[:starts]) <= k)
+    dists = [start_distances(x[r:] + x[:r], data) for r in range(len(x))]
+    for k in range(len(x)):
+        assert screen_distances(x, k, data) == dp_distances(x, k, data, dists)
 
 
 def test_screen_matches_definition():
-    # a hit means some start p < starts has a factor within k of a rotation
+    # each (start, rotation) within k, with the least distance over every
+    # factor at that start and the shortest factor that reaches it
     x, data = b"abca", b"xabcaycab"
     rots = [x[r:] + x[:r] for r in range(len(x))]
     for k in range(len(x)):
         for starts in range(1, len(data) + 1):
-            want = any(
-                full_edit_distance(rho, data[p:e]).distance <= k
-                for rho in rots
-                for p in range(starts)
-                for e in range(p, len(data) + 1)
-            )
-            assert RotationScreen(x, k).hit(data, starts) == want
+            want = []
+            for p in range(starts):
+                for r, rho in enumerate(rots):
+                    d, length = min(
+                        (full_edit_distance(rho, data[p:e]).distance, e - p)
+                        for e in range(p, len(data) + 1)
+                    )
+                    if d <= k:
+                        want.append((p, length, r, d))
+            assert RotationScreen(x, k).occurrences(data, starts) == want
 
 
 def test_screen_validates_inputs():
@@ -127,6 +143,51 @@ def test_screen_validates_inputs():
         RotationScreen(b"", 0)
     with pytest.raises(ValueError):
         RotationScreen(b"ab", 2)
+
+
+def kernel_matches_brute(screen_cls, x: bytes, k: int, data: bytes, want) -> bool:
+    starts = min(len(x) - k, len(data))
+    got = screen_cls(x, k).occurrences(data, starts)
+    return [Occurrence(*o) for o in got] == want
+
+
+def load_mutant(old: str, new: str):
+    """RotationScreen from a copy of the bitparallel source with one line
+    changed."""
+    src = inspect.getsource(bitparallel)
+    assert src.count(old) == 1
+    mod = types.ModuleType("circmatch._mutant")
+    mod.__package__ = "circmatch"
+    exec(compile(src.replace(old, new), "<mutant>", "exec"), mod.__dict__)
+    return mod.RotationScreen
+
+
+@pytest.fixture(scope="module")
+def boundary_cases():
+    return [(x, k, d, brute_block_occurrences(x, k, Block(0, d))) for x, k, d in boundary_blocks()]
+
+
+@pytest.mark.parametrize(
+    "new",
+    [
+        "r = (b.bit_length() - 1) // width + 1",  # one field too high
+        "r = b.bit_length() // width",  # bit length taken for the bit index
+    ],
+)
+def test_field_index_mutants_fail(new, boundary_cases):
+    # the boundary cases that pass on the real kernel catch a copy whose hit
+    # field is read one off; the second mutant differs only where
+    # t + 1 = m + 1, that is at m = 1 and m = 2
+    assert all(kernel_matches_brute(RotationScreen, *c) for c in boundary_cases)
+    mutant = load_mutant("r = (b.bit_length() - 1) // width", new)
+
+    def caught(case) -> bool:
+        try:
+            return not kernel_matches_brute(mutant, *case)
+        except (KeyError, IndexError):
+            return True
+
+    assert any(caught(c) for c in boundary_cases)
 
 
 @settings(max_examples=150, deadline=None)

@@ -218,6 +218,31 @@ def test_cli_threads_match_single(tmp_path, capsys):
     assert out1 == out4
 
 
+def test_cli_periodic_multi_record_modes_match_oracle(tmp_path, capsys):
+    # a period-3 pattern in repetitive records gives many (start, rotation)
+    # hits per block; auto mode takes a filter plan at 16:1 on DNA
+    rng = random.Random(12)
+    records = []
+    for i in range(4):
+        seq = bytearray(b"ACG" * 60)
+        for _ in range(6):
+            seq[rng.randrange(len(seq))] = rng.choice(b"ACGT")
+        records.append(f">r{i}\n{bytes(seq).decode()}\n")
+    records.append(">r4\n" + random_string(rng, b"ACGT", 150).decode() + "\n")
+    text = tmp_path / "reads.fa"
+    text.write_text("".join(records))
+    args = ["--pattern", "ACGACGACGACGACGA", "--text", str(text), "-k", "1"]
+    outs = {}
+    for extra in (["--mode", "oracle"], ["--mode", "auto"], ["--mode", "verify-all"], ["--threads", "2"]):
+        code, out, err = run_cli(args + extra, capsys)
+        assert code == 0, err
+        outs[" ".join(extra)] = out
+    assert outs["--mode oracle"].count("\n") > 100
+    assert len({outs[key] for key in outs}) == 1
+    _, stats, _ = run_cli(args + ["--stats"], capsys)
+    assert "# mode=filter" in stats
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
     text = tmp_path / "t.txt"

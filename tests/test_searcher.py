@@ -19,6 +19,7 @@ from circmatch import (
     search_chunked,
 )
 from circmatch import searcher
+from circmatch.bitparallel import RotationScreen
 from circmatch.searcher import d_exponent
 from helpers import brute_search, letters_for, plant_edited_rotation, random_string
 
@@ -202,9 +203,7 @@ def test_search_matches_full_dp_property(case):
     sigma, x, k, t, epsilon = case
     m = len(x)
     want = brute_search(t, x, k)
-    verify_all = SearchPlan(
-        mode="verify-all", m=m, k=k, window_len=m - k, verified_shift=m - k, epsilon=epsilon
-    )
+    verify_all = SearchPlan.verify_all(m, k, epsilon)
     assert search(t, x, k, verify_all)[0] == want
     a = build_alphabet(letters_for(sigma))
     p = plan(m, k, a, epsilon=epsilon, max_index_entries=256, max_index_work=1 << 20)
@@ -338,6 +337,16 @@ def test_search_rejects_mismatched_plan():
     p = plan(8, 1, a)
     with pytest.raises(ValueError):
         search(b"abcabcabc", b"abcabcabc", 1, p, None)
+
+
+def test_search_rejects_mismatched_screen():
+    x = b"abcabcab"
+    p = SearchPlan.verify_all(len(x), 1)
+    for screen in (RotationScreen(b"abcabcaa", 1), RotationScreen(x, 2)):
+        with pytest.raises(ValueError, match="screen was built"):
+            search(b"abcabcabcabc", x, 1, p, screen=screen)
+        with pytest.raises(ValueError, match="screen was built"):
+            search_chunked(b"abcabcabcabc", x, 1, p, chunks=2, screen=screen)
 
 
 def test_chunked_equals_single():

@@ -1,12 +1,32 @@
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from circmatch import Occurrence, dedup_occurrences, rotate, verify_block
+from circmatch import (
+    Occurrence,
+    SearchPlan,
+    build_alphabet,
+    build_index,
+    dedup_occurrences,
+    plan,
+    rotate,
+    search,
+    verify_block,
+)
 from circmatch.bitparallel import RotationScreen
 from circmatch.editcore import WorkTally
+from circmatch.searcher import oracle_search
 from circmatch.verifier import Block
-from helpers import brute_block_occurrences, letters_for, random_string
+from helpers import (
+    boundary_blocks,
+    brute_block_occurrences,
+    brute_search,
+    letters_for,
+    random_string,
+)
 
 
 def test_rotation_identities():
@@ -137,3 +157,78 @@ def test_wave_engine_tally_is_deterministic():
     verify_block(x, 2, Block(0, data), use_waves=True, tally=t1)
     verify_block(x, 2, Block(0, data), use_waves=True, tally=t2)
     assert t1.wave_updates == t2.wave_updates > 0
+
+
+@st.composite
+def block_cases(draw):
+    """Unary and periodic patterns two times in three; blocks of 1..2m
+    letters, so often shorter than starts + m + k, with 'z', a letter no
+    pattern holds."""
+    m = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["unary", "periodic", "random"]))
+    if kind == "unary":
+        x = b"a" * m
+    elif kind == "periodic":
+        unit = bytes(draw(st.lists(st.sampled_from(b"abc"), min_size=2, max_size=3)))
+        x = (unit * m)[:m]
+    else:
+        sigma = draw(st.integers(2, 4))
+        x = bytes(draw(st.lists(st.sampled_from(b"abcd"[:sigma]), min_size=m, max_size=m)))
+    k = draw(st.integers(0, m - 1))
+    n = draw(st.integers(1, 2 * m))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, m - 1))
+        data = bytearray((x[r:] + x[:r]) * 3)[:n]
+        for _ in range(draw(st.integers(0, 3))):
+            data[draw(st.integers(0, n - 1))] = draw(st.sampled_from(b"abz"))
+        data = bytes(data)
+    else:
+        data = bytes(draw(st.lists(st.sampled_from(b"abcz"), min_size=n, max_size=n)))
+    return x, k, Block(draw(st.integers(0, 50)), data)
+
+
+def with_boundary_examples(test):
+    for x, k, data in boundary_blocks():
+        test = example((x, k, Block(7, data)))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_cases())
+@with_boundary_examples
+def test_verify_block_matches_brute_force_property(case):
+    x, k, block = case
+    assert verify_block(x, k, block) == brute_block_occurrences(x, k, block)
+
+
+def test_verify_and_search_do_not_use_band_pass(monkeypatch):
+    # the band pass is left to oracle_search; with it disabled, the
+    # verifier and the search still equal the straight-line full DP
+    def disabled(*args, **kwargs):
+        raise AssertionError("band pass called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "circmatch" and hasattr(module, "min_prefix_distances"):
+            monkeypatch.setattr(module, "min_prefix_distances", disabled)
+    with pytest.raises(AssertionError):
+        oracle_search(b"abab", b"ab", 0)
+    rng = random.Random(0xB4D)
+    a = build_alphabet(b"ab")
+    filtered = 0
+    for _ in range(30):
+        m = rng.randint(2, 16)
+        k = rng.randint(0, min(3, m - 1))
+        x = (random_string(rng, b"ab", rng.randint(1, 3)) * m)[:m]
+        t = bytearray((x * 6)[: rng.randint(m, 5 * m)])
+        for _ in range(rng.randint(0, 4)):
+            t[rng.randrange(len(t))] = rng.choice(b"abz")
+        t = bytes(t)
+        block = Block(0, t[: 2 * m])
+        assert verify_block(x, k, block) == brute_block_occurrences(x, k, block)
+        want = brute_search(t, x, k)
+        assert search(t, x, k, SearchPlan.verify_all(m, k))[0] == want
+        p = plan(m, k, a, epsilon=0.9, max_index_entries=256, max_index_work=1 << 20)
+        if p.mode == "filter":
+            filtered += 1
+            assert search(t, x, k, p, build_index(x, p.q, a, max_entries=256))[0] == want
+    assert filtered > 0
