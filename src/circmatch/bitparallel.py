@@ -35,7 +35,11 @@ about twenty operations on m(m+1)-bit ints in place of m separate passes:
 
 from __future__ import annotations
 
+import functools
+
 from .alphabet import to_bytes
+
+SCREENS_KEPT = 8  # distinct (x, k) screens kept by rotation_screen
 
 
 class RotationScreen:
@@ -165,6 +169,13 @@ class RotationScreen:
                     if not test:
                         break
         return {r: length[r % period] for r in dist}
+
+
+@functools.lru_cache(maxsize=SCREENS_KEPT)
+def rotation_screen(x: bytes, k: int) -> RotationScreen:
+    """The screen of (x, k), built on first use and shared after that: a
+    screen is never changed once built."""
+    return RotationScreen(x, k)
 
 
 def _spread(s: bytes) -> dict[int, int]:

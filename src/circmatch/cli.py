@@ -20,16 +20,8 @@ from pathlib import Path
 
 from .alphabet import AlphabetError, build_alphabet, to_bytes
 from .bench import Experiment, format_table, run_experiment
-from .bitparallel import RotationScreen
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
-from .searcher import (
-    PlanError,
-    SearchPlan,
-    oracle_search,
-    plan,
-    search,
-    search_chunked,
-)
+from .searcher import PlanError, SearchPlan, oracle_search, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
 
@@ -72,7 +64,6 @@ class RunConfig:
     mode: str = "auto"  # auto | filter | verify-all | oracle
     stats: bool = False
     index_cache: str | None = None
-    threads: int = 1
     header: bool = False
     strict: bool = False
     fold_case: bool = False
@@ -81,8 +72,6 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
-        if self.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {self.threads}")
         if self.out is None:
             self.out = sys.stdout
 
@@ -183,15 +172,8 @@ def run(cfg: RunConfig) -> int:
                     idx = build_index(pattern, pln.q, alphabet)
                     if cfg.index_cache:
                         idx.save(cfg.index_cache)
-            screen = RotationScreen(pattern, cfg.k)  # shared by every record
             for name, seq in records:
-                if cfg.threads > 1:
-                    occs, st = search_chunked(
-                        seq, pattern, cfg.k, pln, idx, chunks=cfg.threads,
-                        threads=cfg.threads, screen=screen,
-                    )
-                else:
-                    occs, st = search(seq, pattern, cfg.k, pln, idx, screen=screen)
+                occs, st = search(seq, pattern, cfg.k, pln, idx)
                 found_any |= bool(occs)
                 totals["examined"] += st.windows_examined
                 totals["verified"] += st.windows_verified
@@ -255,7 +237,6 @@ def _search_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--stats", action="store_true", help="append a commented stats block")
     p.add_argument("--index-cache", default=None, help="path for reusing the q-gram index")
-    p.add_argument("--threads", type=int, default=1, help="process the text in this many chunks")
     p.add_argument("--header", action="store_true", help="emit a TSV header line")
     p.add_argument("--strict", action="store_true", help="reject letters outside the alphabet")
     p.add_argument("--fold-case", action="store_true", help="uppercase inputs at ingestion")
@@ -314,7 +295,6 @@ def main(argv=None) -> int:
             mode=args.mode,
             stats=args.stats,
             index_cache=args.index_cache,
-            threads=args.threads,
             header=args.header,
             strict=args.strict,
             fold_case=args.fold_case,

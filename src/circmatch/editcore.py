@@ -14,6 +14,10 @@ reached on each diagonal with at most h differences extends the three
 neighbouring frontiers of level h - 1 and then slides down the run of
 matching letters.  One construction costs O((k+1)^2) frontier updates
 plus the match-run scans.
+
+`verify_block_waves` drives the waves over a verification block, one
+start and one rotation at a time, as a reference engine with a work
+count.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import to_bytes
+from .verifier import Block, Occurrence, dedup_occurrences
 
 
 @dataclass
@@ -250,3 +255,33 @@ def occurrence_scan(w: WaveSet) -> list[tuple[int, int]]:
                 if old is None or h < old:
                     hits[j] = h
     return sorted(hits.items())
+
+
+def verify_block_waves(
+    x: str | bytes, k: int, block: Block, tally: WorkTally | None = None
+) -> list[Occurrence]:
+    """`verifier.verify_block`'s output, found by walking starts and
+    rotations exactly as the scheme is defined: the waves are carried
+    across one-letter pattern rotations and text prefix drops, and each
+    wave-entry update is charged to `tally`."""
+    xb = to_bytes(x)
+    m = len(xb)
+    if not 0 <= k < m:
+        raise ValueError("threshold must satisfy 0 <= k < len(pattern)")
+    suffix = block.data
+    starts = min(m - k, len(suffix))
+    waves = waves_from_scratch(xb, suffix, k, tally)
+    out: list[Occurrence] = []
+    for p in range(starts):
+        for r in range(m):
+            for col, dist in occurrence_scan(waves):
+                out.append(Occurrence(block.text_offset + p, col, r, dist))
+            if r < m - 1:
+                waves = waves_rotate_pattern(waves, waves.pattern[0], suffix, tally)
+        if p < starts - 1:
+            # one more rotation step returns the pattern to rotation 0,
+            # then the leading text letter is dropped for the next start
+            waves = waves_rotate_pattern(waves, waves.pattern[0], suffix, tally)
+            waves = waves_drop_text_prefix(waves, waves.pattern, suffix, tally)
+            suffix = suffix[1:]
+    return dedup_occurrences(out)

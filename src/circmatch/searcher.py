@@ -8,7 +8,9 @@ anything inside any rotation, and any occurrence covering all grams read
 so far absorbs their summed differences, so once the sum exceeds k no
 occurrence can start at or before the leftmost letter read: the window
 skips one position past it.  If all J grams stay within budget the window
-is verified with a 2m block and advances by its full length.
+is verified with a 2m block and advances by its full length, so each
+verified block owns the next m-k starts and the occurrences come out
+sorted by (start, rotation) with no pass to merge them.
 
 Parameter planning picks (q, c) so the difference-rate exponent
 
@@ -26,17 +28,14 @@ window, which stays correct at O(n m k / (m-k)) expected cost.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._vectordp import min_prefix_distances
 from .alphabet import Alphabet, encode_qgram, to_bytes
-from .bitparallel import RotationScreen
 from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex
-from .verifier import Block, Occurrence, dedup_occurrences, screen_for, verify_block
+from .verifier import Block, Occurrence, verify_block
 
 
 class PlanError(ValueError):
@@ -49,7 +48,6 @@ class SearchPlan:
     m: int
     k: int
     window_len: int
-    verified_shift: int
     epsilon: float
     q: int | None = None
     c: float | None = None
@@ -61,8 +59,7 @@ class SearchPlan:
     def verify_all(cls, m: int, k: int, epsilon: float = 0.5) -> SearchPlan:
         """The plan that verifies every window."""
         return cls(
-            mode="verify-all", m=m, k=k, window_len=m - k,
-            verified_shift=m - k, epsilon=epsilon,
+            mode="verify-all", m=m, k=k, window_len=m - k, epsilon=epsilon
         )
 
 
@@ -156,6 +153,8 @@ def plan(
         raise PlanError(f"threshold k={k} must satisfy 0 <= k < m={m}")
     if not 0 < epsilon < 1:
         raise PlanError("epsilon must lie in (0, 1)")
+    if c is not None and not 0 < c < 1:
+        raise PlanError(f"c must lie in (0, 1), got c={c}")
     sigma = a.size
     wlen = m - k
 
@@ -166,7 +165,6 @@ def plan(
             m=m,
             k=k,
             window_len=wlen,
-            verified_shift=wlen,
             epsilon=epsilon,
             q=qv,
             c=cv,
@@ -182,8 +180,6 @@ def plan(
             raise PlanError(
                 f"sigma^q = {sigma**qv} exceeds the index budget {max_index_entries}"
             )
-        if not 0 < cv < 1:
-            raise PlanError(f"c must lie in (0, 1), got c={cv}")
         dv = d_exponent(cv, sigma)
         if dv <= 0:
             raise PlanError(
@@ -300,15 +296,13 @@ def search(
     idx: QGramIndex | None = None,
     *,
     collect_skips: bool = False,
-    screen: RotationScreen | None = None,
 ) -> tuple[list[Occurrence], SearchStats]:
     """Scan the whole text and return every occurrence of every rotation,
-    deduplicated, plus scan statistics.
+    one per (start, rotation) and sorted by (start, rotation), plus scan
+    statistics.
 
     In filter mode the index must be given; in verify-all mode every
-    window is verified and the index is ignored.  `screen` is the packed
-    verifier of (x, k); a caller searching many texts builds it once and
-    passes it in, otherwise it is built on the first verification.
+    window is verified and the index is ignored.
     """
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
@@ -322,8 +316,6 @@ def search(
     filtering = plan.mode == "filter"
     if filtering and idx is None:
         raise ValueError("filter mode needs a q-gram index")
-    if screen is not None:
-        screen = screen_for(xb, k, screen)
     p = 0
     last = n - wlen
     while p <= last:
@@ -338,17 +330,14 @@ def search(
             stats.windows_verified += 1
             block = Block(p, tb[p : p + 2 * m])
             stats.chars_inspected += len(block.data)
-            if screen is None:
-                screen = RotationScreen(xb, k)  # shared by all blocks
-            occs.extend(verify_block(xb, k, block, screen=screen))
-            p += plan.verified_shift
+            occs.extend(verify_block(xb, k, block))
+            p += wlen
         else:
             if collect_skips:
                 stats.skips.append((p, decision.shift))
             p += decision.shift
-    out = dedup_occurrences(occs)
-    stats.occurrences_reported = len(out)
-    return out, stats
+    stats.occurrences_reported = len(occs)
+    return occs, stats
 
 
 def search_chunked(
@@ -358,55 +347,29 @@ def search_chunked(
     plan: SearchPlan,
     idx: QGramIndex | None = None,
     chunks: int = 1,
-    threads: int = 1,
-    *,
-    screen: RotationScreen | None = None,
 ) -> tuple[list[Occurrence], SearchStats]:
-    """Partition the text, search each chunk with 2m-1 letters of overlap,
-    and merge.  The merged, deduplicated result is identical to the
-    single-pass output; chunks may run on a thread pool of at most
-    min(threads, chunks, CPU count) workers and share one `screen`, as in
-    `search`."""
+    """Partition the text into `chunks` pieces and search each in turn with
+    2m-1 letters of overlap, keeping the occurrences that start in the
+    piece.  The result is identical to the single-pass output."""
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
-    screen = screen_for(xb, k, screen)
     chunks = max(1, min(chunks, n or 1))
     if chunks == 1:
-        return search(tb, xb, k, plan, idx, screen=screen)
+        return search(tb, xb, k, plan, idx)
     bounds = [(n * i) // chunks for i in range(chunks + 1)]
-    jobs = []
-    for i in range(chunks):
-        core_start, core_end = bounds[i], bounds[i + 1]
-        if core_start >= core_end:
-            continue
-        ext_end = min(n, core_end + 2 * m - 1)
-        jobs.append((core_start, core_end, tb[core_start:ext_end]))
-
-    def one(job):
-        core_start, core_end, data = job
-        found, st = search(data, xb, k, plan, idx, screen=screen)
-        keep = [
+    out: list[Occurrence] = []
+    stats = SearchStats()
+    for core_start, core_end in zip(bounds, bounds[1:]):
+        found, st = search(tb[core_start : core_end + 2 * m - 1], xb, k, plan, idx)
+        out.extend(
             Occurrence(o.start + core_start, o.length, o.rotation, o.distance)
             for o in found
             if o.start < core_end - core_start
-        ]
-        return keep, st
-
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    merged: list[Occurrence] = []
-    stats = SearchStats()
-    for keep, st in results:
-        merged.extend(keep)
+        )
         stats.windows_examined += st.windows_examined
         stats.windows_verified += st.windows_verified
         stats.qgrams_read += st.qgrams_read
         stats.chars_inspected += st.chars_inspected
-    out = dedup_occurrences(merged)
     stats.occurrences_reported = len(out)
     return out, stats
 
@@ -428,7 +391,8 @@ def oracle_search(t: str | bytes, x: str | bytes, k: int) -> list[Occurrence]:
     doubled = np.frombuffer(xb + xb, dtype=np.uint8)
     rot_matrix = np.lib.stride_tricks.sliding_window_view(doubled, m)[:m]
     dmin, lmin = min_prefix_distances(rot_matrix, arr, k, n)
-    out: list[Occurrence] = []
-    for r, p in np.argwhere(dmin <= k):
-        out.append(Occurrence(int(p), int(lmin[r, p]), int(r), int(dmin[r, p])))
-    return dedup_occurrences(out)
+    # (p, r) pairs in increasing order, one each
+    return [
+        Occurrence(int(p), int(lmin[r, p]), int(r), int(dmin[r, p]))
+        for p, r in np.argwhere(dmin.T <= k)
+    ]

@@ -7,19 +7,16 @@ everything.
 
 verify_block reports, for every candidate start and every rotation within
 distance k, one occurrence: the minimal distance and, among those, the
-minimal length.  Two engines produce identical output:
+minimal length.  It runs the packed bit-parallel kernel
+`bitparallel.RotationScreen` (one field of m pattern bits plus a guard bit
+per rotation, and a packed last-row score per field), built once per
+(x, k) by `bitparallel.rotation_screen`.  One pass over the block yields
+the distance of every (start, rotation) pair, and most blocks end there
+with no field within k.  For each start that hits, one more packed pass
+from that start finds the shortest length of every hit rotation.
 
-  * the default engine is the packed bit-parallel kernel
-    `bitparallel.RotationScreen` (one field of m pattern bits plus a guard
-    bit per rotation, and a packed last-row score per field).  One pass
-    over the block yields the distance of every (start, rotation) pair, and
-    most blocks end there with no field within k.  For each start that
-    hits, one more packed pass from that start finds the shortest length of
-    every hit rotation;
-  * the wave engine walks starts and rotations exactly as the scheme is
-    defined, maintaining the wave representation across one-letter pattern
-    rotations and text prefix drops, and charging each wave-entry update to
-    a tally.  It exists for instrumentation and cross-checking.
+`editcore.verify_block_waves` is a second engine with the same output,
+kept for cross-checks and work counts.
 """
 
 from __future__ import annotations
@@ -27,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import to_bytes
-from .bitparallel import RotationScreen
-from .editcore import (
-    WorkTally,
-    occurrence_scan,
-    waves_drop_text_prefix,
-    waves_from_scratch,
-    waves_rotate_pattern,
-)
+from .bitparallel import rotation_screen
 
 
 @dataclass(frozen=True)
@@ -81,33 +71,10 @@ def dedup_occurrences(occs) -> list[Occurrence]:
     return [best[key] for key in sorted(best)]
 
 
-def screen_for(
-    x: bytes, k: int, screen: RotationScreen | None = None
-) -> RotationScreen:
-    """`screen` after checking that it was built for (x, k), or, when it is
-    None, a new screen of (x, k)."""
-    if screen is None:
-        return RotationScreen(x, k)
-    if (screen.x, screen.k) != (x, k):
-        raise ValueError("screen was built for a different pattern or threshold")
-    return screen
-
-
-def verify_block(
-    x: str | bytes,
-    k: int,
-    block: Block,
-    *,
-    use_waves: bool = False,
-    tally: WorkTally | None = None,
-    screen: RotationScreen | None = None,
-) -> list[Occurrence]:
+def verify_block(x: str | bytes, k: int, block: Block) -> list[Occurrence]:
     """All occurrences of any rotation of x with distance <= k whose start
-    lies within the block's first m-k positions.  Deduplicated per
-    (start, rotation); an empty list is a normal outcome.
-
-    `screen` is the packed screen of (x, k); a caller verifying many blocks
-    builds it once and passes it in, otherwise it is built here."""
+    lies within the block's first m-k positions, one per (start, rotation),
+    sorted by (start, rotation); an empty list is a normal outcome."""
     xb = to_bytes(x)
     m = len(xb)
     if m < 1:
@@ -116,43 +83,7 @@ def verify_block(
         raise ValueError("threshold must satisfy 0 <= k < len(pattern)")
     data = block.data
     starts = min(m - k, len(data))
-    if starts <= 0:
-        return []
-    if use_waves:
-        return _verify_waves(xb, k, block, starts, tally)
-    screen = screen_for(xb, k, screen)
     return [
         Occurrence(block.text_offset + p, length, r, d)
-        for p, length, r, d in screen.occurrences(data, starts)
+        for p, length, r, d in rotation_screen(xb, k).occurrences(data, starts)
     ]
-
-
-def _verify_waves(
-    xb: bytes, k: int, block: Block, starts: int, tally: WorkTally | None
-) -> list[Occurrence]:
-    m = len(xb)
-    if tally is None:
-        tally = WorkTally()
-    suffix = block.data
-    waves = waves_from_scratch(xb, suffix, k, tally)
-    out: list[Occurrence] = []
-    for p in range(starts):
-        for r in range(m):
-            for col, dist in occurrence_scan(waves):
-                out.append(
-                    Occurrence(
-                        start=block.text_offset + p,
-                        length=col,
-                        rotation=r,
-                        distance=dist,
-                    )
-                )
-            if r < m - 1:
-                waves = waves_rotate_pattern(waves, waves.pattern[0], suffix, tally)
-        if p < starts - 1:
-            # one more rotation step returns the pattern to rotation 0,
-            # then the leading text letter is dropped for the next start
-            waves = waves_rotate_pattern(waves, waves.pattern[0], suffix, tally)
-            waves = waves_drop_text_prefix(waves, waves.pattern, suffix, tally)
-            suffix = suffix[1:]
-    return dedup_occurrences(out)

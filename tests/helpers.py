@@ -6,7 +6,10 @@ so the fast engines are always compared against straight-line code.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+import types
 
 from circmatch import Occurrence, dedup_occurrences, full_edit_distance, rotate
 from circmatch.verifier import Block
@@ -93,6 +96,21 @@ def boundary_blocks() -> list[tuple[bytes, int, bytes]]:
                 data[rng.randrange(len(data))] = rng.choice(b"acgtn")
             cases.append((x, m - 3, bytes(data)))
     return cases
+
+
+def load_mutant(module, old: str, new: str):
+    """A copy of `module`, loaded in memory, with the one occurrence of
+    `old` in its source replaced by `new`."""
+    src = inspect.getsource(module)
+    assert src.count(old) == 1
+    mod = types.ModuleType(module.__name__ + "_mutant")
+    mod.__package__ = module.__package__
+    sys.modules[mod.__name__] = mod  # dataclasses look the module up
+    try:
+        exec(compile(src.replace(old, new), "<mutant>", "exec"), mod.__dict__)
+    finally:
+        del sys.modules[mod.__name__]
+    return mod
 
 
 def letters_for(sigma: int) -> bytes:

@@ -24,12 +24,11 @@ from circmatch import (
     run_experiment,
     search,
     search_chunked,
-    verify_block,
     waves_drop_text_prefix,
     waves_from_scratch,
     waves_rotate_pattern,
 )
-from circmatch.editcore import WorkTally
+from circmatch.editcore import WorkTally, verify_block_waves
 from circmatch.verifier import Block
 from helpers import (
     brute_search,
@@ -191,7 +190,7 @@ def test_criterion_6_verification_work_scaling():
             x = random_string(rng, b"abcd", m)
             data = random_string(rng, b"abcd", 2 * m)
             tally = WorkTally()
-            verify_block(x, k, Block(0, data), use_waves=True, tally=tally)
+            verify_block_waves(x, k, Block(0, data), tally)
             counts[(m, k)] = tally.wave_updates
     beta = max(c / (m * m * k) for (m, k), c in counts.items())
     for (m, k), c in counts.items():
@@ -285,6 +284,6 @@ def test_criterion_9_chunked_concurrency_contract():
             else None
         )
         single, _ = search(t, x, k, pln, idx)
-        chunked, _ = search_chunked(t, x, k, pln, idx, chunks=4, threads=4)
+        chunked, _ = search_chunked(t, x, k, pln, idx, chunks=4)
         assert chunked == single
     print("\ncriterion 9 PASS: 4-chunk output identical to single pass, 50 instances")

@@ -1,7 +1,5 @@
-import inspect
 import itertools
 import random
-import types
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from circmatch._vectordp import min_prefix_distances
 from circmatch.bitparallel import RotationScreen
 from circmatch.editcore import full_edit_distance
 from circmatch.verifier import Block, Occurrence
-from helpers import boundary_blocks, brute_block_occurrences
+from helpers import boundary_blocks, brute_block_occurrences, load_mutant
 
 
 def dp_scores(p: bytes, t: bytes) -> list[int]:
@@ -151,17 +149,6 @@ def kernel_matches_brute(screen_cls, x: bytes, k: int, data: bytes, want) -> boo
     return [Occurrence(*o) for o in got] == want
 
 
-def load_mutant(old: str, new: str):
-    """RotationScreen from a copy of the bitparallel source with one line
-    changed."""
-    src = inspect.getsource(bitparallel)
-    assert src.count(old) == 1
-    mod = types.ModuleType("circmatch._mutant")
-    mod.__package__ = "circmatch"
-    exec(compile(src.replace(old, new), "<mutant>", "exec"), mod.__dict__)
-    return mod.RotationScreen
-
-
 @pytest.fixture(scope="module")
 def boundary_cases():
     return [(x, k, d, brute_block_occurrences(x, k, Block(0, d))) for x, k, d in boundary_blocks()]
@@ -179,7 +166,7 @@ def test_field_index_mutants_fail(new, boundary_cases):
     # field is read one off; the second mutant differs only where
     # t + 1 = m + 1, that is at m = 1 and m = 2
     assert all(kernel_matches_brute(RotationScreen, *c) for c in boundary_cases)
-    mutant = load_mutant("r = (b.bit_length() - 1) // width", new)
+    mutant = load_mutant(bitparallel, "r = (b.bit_length() - 1) // width", new).RotationScreen
 
     def caught(case) -> bool:
         try:

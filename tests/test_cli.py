@@ -1,9 +1,11 @@
 import io
 import random
+import re
 import sys
 
 import pytest
 
+from circmatch.bitparallel import rotation_screen
 from circmatch.cli import FastaError, ingest_fasta, main
 from helpers import plant_edited_rotation, random_string
 
@@ -80,6 +82,27 @@ def test_cli_invalid_override_reports_constraint(tmp_path, capsys):
     assert "d(c" in err or "not positive" in err
 
 
+@pytest.mark.parametrize(
+    "extra, shown",
+    [
+        pytest.param(["--c", "1.5"], "1.5", id="above-one"),
+        pytest.param(["--c", "0"], "0.0", id="zero"),
+        pytest.param(["--mode", "filter", "--c", "2"], "2.0", id="filter-mode"),
+        pytest.param(["--c", "nan"], "nan", id="nan"),
+    ],
+)
+def test_cli_c_out_of_range_exits_2(tmp_path, capsys, extra, shown):
+    # c without q goes straight to the exponent d(c), which is undefined
+    # outside (0, 1)
+    text = tmp_path / "t.txt"
+    text.write_text("ACGTACGTTGCAACGTACGTACGTTGCA")
+    code, out, err = run_cli(
+        ["--pattern", "ACGTACGTACGTTGCA", "--text", str(text), "-k", "1"] + extra, capsys
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: c must lie in (0, 1), got c={shown}\n"
+
+
 def test_cli_fasta_multi_record(tmp_path, capsys):
     fa = tmp_path / "in.fa"
     fa.write_text(">r1\nAACGTACGTA\n>r2\nTTTTTTTTTT\n")
@@ -90,6 +113,20 @@ def test_cli_fasta_multi_record(tmp_path, capsys):
     assert code == 0
     recs = {line.split("\t")[0] for line in out.strip().splitlines()}
     assert recs == {"r1"}
+
+
+def test_cli_builds_one_screen_per_run(tmp_path, capsys):
+    # every verification of every record shares the screen of (pattern, k)
+    fa = tmp_path / "reads.fa"
+    fa.write_text("".join(f">r{i}\n{'TTGA' * i}CGTTGCAACGTACGTA{'ACGT' * i}\n" for i in range(4)))
+    args = ["--pattern", "ACGTACGTTGCAACGT", "--text", str(fa), "-k", "1",
+            "--mode", "verify-all", "--stats"]
+    rotation_screen.cache_clear()
+    code, out, err = run_cli(args, capsys)
+    info = rotation_screen.cache_info()
+    verified = int(re.search(r"# windows_verified=(\d+)", out).group(1))
+    assert code == 0, err
+    assert info.misses == 1 and info.hits + info.misses == verified > 4
 
 
 def test_cli_stats_block(tmp_path, capsys):
@@ -209,15 +246,6 @@ def test_cli_index_cache_roundtrip(tmp_path, capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_cli_threads_match_single(tmp_path, capsys):
-    text = tmp_path / "t.txt"
-    text.write_text("gattacagattacaagtcaatgcaggacctggaacgt" * 20)
-    args = ["--pattern", "gattacag", "--text", str(text), "-k", "1"]
-    _, out1, _ = run_cli(args, capsys)
-    _, out4, _ = run_cli(args + ["--threads", "4"], capsys)
-    assert out1 == out4
-
-
 def test_cli_periodic_multi_record_modes_match_oracle(tmp_path, capsys):
     # a period-3 pattern in repetitive records gives many (start, rotation)
     # hits per block; auto mode takes a filter plan at 16:1 on DNA
@@ -233,7 +261,7 @@ def test_cli_periodic_multi_record_modes_match_oracle(tmp_path, capsys):
     text.write_text("".join(records))
     args = ["--pattern", "ACGACGACGACGACGA", "--text", str(text), "-k", "1"]
     outs = {}
-    for extra in (["--mode", "oracle"], ["--mode", "auto"], ["--mode", "verify-all"], ["--threads", "2"]):
+    for extra in (["--mode", "oracle"], ["--mode", "auto"], ["--mode", "verify-all"]):
         code, out, err = run_cli(args + extra, capsys)
         assert code == 0, err
         outs[" ".join(extra)] = out
@@ -241,16 +269,6 @@ def test_cli_periodic_multi_record_modes_match_oracle(tmp_path, capsys):
     assert len({outs[key] for key in outs}) == 1
     _, stats, _ = run_cli(args + ["--stats"], capsys)
     assert "# mode=filter" in stats
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
-    text = tmp_path / "t.txt"
-    text.write_text("gattacagattaca")
-    args = ["--pattern", "gattacag", "--text", str(text), "-k", "1", "--threads", threads]
-    code, out, err = run_cli(args, capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: --threads must be at least 1") and err.count("\n") == 1
 
 
 def test_cli_pattern_file_and_stdin(tmp_path, capsys, monkeypatch):

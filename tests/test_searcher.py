@@ -19,9 +19,9 @@ from circmatch import (
     search_chunked,
 )
 from circmatch import searcher
-from circmatch.bitparallel import RotationScreen
+from circmatch.bitparallel import rotation_screen
 from circmatch.searcher import d_exponent
-from helpers import brute_search, letters_for, plant_edited_rotation, random_string
+from helpers import brute_search, letters_for, load_mutant, plant_edited_rotation, random_string
 
 
 def test_d_exponent_value():
@@ -31,7 +31,7 @@ def test_d_exponent_value():
 def test_plan_small_window_falls_back():
     p = plan(8, 4, build_alphabet("ab"))
     assert p.mode == "verify-all"
-    assert p.window_len == 4 and p.verified_shift == 4
+    assert p.window_len == 4
 
 
 def test_plan_k0_reads_single_gram():
@@ -52,7 +52,7 @@ def test_plan_invariants_when_filtering():
         m = rng.randint(6, 128)
         k = rng.randint(0, m // 3)
         p = plan(m, k, build_alphabet(letters_for(sigma)))
-        assert p.window_len == m - k == p.verified_shift
+        assert p.window_len == m - k
         if p.mode == "filter":
             feasible += 1
             assert p.d > 0
@@ -104,7 +104,7 @@ def test_filter_window_early_exit_shift():
     x = b"aaaa"
     idx = build_index(x, 1, a)
     p = SearchPlan(
-        mode="filter", m=4, k=1, window_len=3, verified_shift=3,
+        mode="filter", m=4, k=1, window_len=3,
         epsilon=0.5, q=1, c=0.5, d=0.1, j_grams=3, unverified_shift=1,
     )
     assert idx.lookup(1) == 1  # M["b"] against doubled "aaaaaaa"
@@ -121,6 +121,40 @@ def test_filter_window_foreign_letters_force_verification():
     idx = build_index(x, p.q, a)
     t = b"zzzzzzzzzzzzzzzz"  # z is foreign: all grams contribute 0
     assert filter_window(t, 0, p, idx).action == "verify"
+
+
+# (letters, x, k, q, c, t): filter plans where a skip lands exactly on an
+# occurrence start, found by a seeded search over texts with planted
+# rotations
+SKIP_LANDINGS = [
+    ("ab", b"aabbaaabbbba", 0, 5, 0.01,
+     b"abbbbaaaabbaaabbbbbbaabbaaabbbbaababbaabaaaabbbbaaabbbabbbaaabbaa"),
+    ("abcd", b"cdacacdaabcbcdaacdcb", 0, 4, 0.01,
+     b"bdaadabababdddddddacacdaabcbcdaacdcbcbbcdaabcbcdaacdcbcdacabcdacaaa"),
+    ("abcd", b"cdbacaccbababdabdbbabb", 1, 5, 0.2,
+     b"dbdbabbbbbdcdabdbbabbcdbacaccbababbacdcbaabdabdbbabbcdbacacadcabacbadbbacb"),
+    ("abcd", b"dbacbabadaadbdbcaacc", 1, 4, 0.2,
+     b"cacacacbababdaadbdbcaaccdbadbacbabadabadbdbcaaccaabbbddadaaaccacdbadddabcdacdcdcbad"),
+    ("abcd", b"baadbabcbcdbadabccdcbdbd", 1, 5, 0.17,
+     b"dddaadaddccdbacddccbbcbcdbadabccdcbdbdbaadbabbdcddbcdacaccaacccdccdbcacb"),
+]
+
+
+@pytest.mark.parametrize(
+    "letters, x, k, q, c, t", SKIP_LANDINGS,
+    ids=[f"sigma{len(c[0])}-m{len(c[1])}-k{c[2]}" for c in SKIP_LANDINGS],
+)
+def test_search_skip_landing_on_occurrence_start(letters, x, k, q, c, t):
+    a = build_alphabet(letters)
+    p = plan(len(x), k, a, q=q, c=c)
+    idx = build_index(x, q, a)
+    got, stats = search(t, x, k, p, idx, collect_skips=True)
+    assert got == brute_search(t, x, k)
+    starts = {o.start for o in got}
+    assert any(pos + shift in starts for pos, shift in stats.skips)
+    # a copy whose skip is one letter longer passes over that start
+    longer = load_mutant(searcher, "wlen - jj * q + 1", "wlen - jj * q + 2")
+    assert longer.search(t, x, k, p, idx)[0] != got
 
 
 def _run(t, x, k, sigma, entries=1 << 14, work=1 << 22, **kw):
@@ -339,16 +373,6 @@ def test_search_rejects_mismatched_plan():
         search(b"abcabcabc", b"abcabcabc", 1, p, None)
 
 
-def test_search_rejects_mismatched_screen():
-    x = b"abcabcab"
-    p = SearchPlan.verify_all(len(x), 1)
-    for screen in (RotationScreen(b"abcabcaa", 1), RotationScreen(x, 2)):
-        with pytest.raises(ValueError, match="screen was built"):
-            search(b"abcabcabcabc", x, 1, p, screen=screen)
-        with pytest.raises(ValueError, match="screen was built"):
-            search_chunked(b"abcabcabcabc", x, 1, p, chunks=2, screen=screen)
-
-
 def test_chunked_equals_single():
     rng = random.Random(606)
     for _ in range(15):
@@ -366,37 +390,13 @@ def test_chunked_equals_single():
         idx = build_index(x, p.q, a, max_entries=1 << 14) if p.mode == "filter" else None
         single, _ = search(t, x, k, p, idx)
         chunked, _ = search_chunked(t, x, k, p, idx, chunks=4)
-        threaded, _ = search_chunked(t, x, k, p, idx, chunks=4, threads=4)
         assert chunked == single
-        assert threaded == single
 
 
-def test_chunked_thread_pool_is_capped(monkeypatch):
-    # a huge --threads value must not start one OS thread per chunk; the
-    # stand-in executor records the pool size and runs the jobs inline
-    sizes = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(searcher, "ThreadPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 3)
-    x, t, k = b"abcab", b"abcabcabcaabcbacabcab" * 4, 1
-    p = plan(len(x), k, build_alphabet("abc"))
-    single, _ = search(t, x, k, p)
-    assert search_chunked(t, x, k, p, chunks=10**9, threads=10**9)[0] == single
-    assert search_chunked(t, x, k, p, chunks=2, threads=10**9)[0] == single
-    assert sizes == [3, 2]
-    monkeypatch.setattr(searcher.os, "cpu_count", lambda: None)
-    assert search_chunked(t, x, k, p, chunks=4, threads=4)[0] == single
-    assert sizes == [3, 2]
+def test_chunked_builds_one_screen():
+    x, k = b"abcabcab", 1
+    t = b"abcabcabcaabcbacabcab" * 6
+    rotation_screen.cache_clear()
+    _, stats = search_chunked(t, x, k, SearchPlan.verify_all(len(x), k), chunks=4)
+    info = rotation_screen.cache_info()
+    assert info.misses == 1 and info.hits + info.misses == stats.windows_verified > 4

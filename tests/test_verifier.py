@@ -16,8 +16,7 @@ from circmatch import (
     search,
     verify_block,
 )
-from circmatch.bitparallel import RotationScreen
-from circmatch.editcore import WorkTally
+from circmatch.editcore import WorkTally, verify_block_waves
 from circmatch.searcher import oracle_search
 from circmatch.verifier import Block
 from helpers import (
@@ -106,10 +105,9 @@ def test_verify_block_validates_inputs():
     with pytest.raises(ValueError):
         verify_block(b"ab", 2, Block(0, b"ab"))
     with pytest.raises(ValueError):
+        verify_block_waves(b"ab", 2, Block(0, b"ab"))
+    with pytest.raises(ValueError):
         Block(0, b"")
-    for screen in (RotationScreen(b"abce", 1), RotationScreen(b"abcd", 2)):
-        with pytest.raises(ValueError):
-            verify_block(b"abcd", 1, Block(0, b"abcdabcd"), screen=screen)
 
 
 def test_engines_agree_with_brute_force():
@@ -124,8 +122,7 @@ def test_engines_agree_with_brute_force():
         block = Block(rng.randint(0, 9), data)
         ref = brute_block_occurrences(x, k, block)
         assert verify_block(x, k, block) == ref
-        assert verify_block(x, k, block, screen=RotationScreen(x, k)) == ref
-        assert verify_block(x, k, block, use_waves=True) == ref
+        assert verify_block_waves(x, k, block) == ref
 
 
 def test_soundness_on_planted_blocks():
@@ -154,8 +151,8 @@ def test_wave_engine_tally_is_deterministic():
     x = random_string(rng, b"abcd", 16)
     data = random_string(rng, b"abcd", 32)
     t1, t2 = WorkTally(), WorkTally()
-    verify_block(x, 2, Block(0, data), use_waves=True, tally=t1)
-    verify_block(x, 2, Block(0, data), use_waves=True, tally=t2)
+    verify_block_waves(x, 2, Block(0, data), t1)
+    verify_block_waves(x, 2, Block(0, data), t2)
     assert t1.wave_updates == t2.wave_updates > 0
 
 
