@@ -35,11 +35,9 @@ from .qgramindex import (
     build_index,
 )
 from .searcher import (
-    FilterDecision,
     PlanError,
     SearchPlan,
     SearchStats,
-    filter_window,
     oracle_search,
     plan,
     search,
@@ -56,7 +54,6 @@ __all__ = [
     "Block",
     "DPMatrix",
     "Experiment",
-    "FilterDecision",
     "IndexBudgetError",
     "Occurrence",
     "PlanError",
@@ -74,7 +71,6 @@ __all__ = [
     "dedup_occurrences",
     "encode_qgram",
     "enumerate_qgrams",
-    "filter_window",
     "format_table",
     "full_edit_distance",
     "occurrence_scan",

@@ -17,7 +17,7 @@ def to_bytes(s: str | bytes | bytearray) -> bytes:
     return bytes(s)
 
 
-_FOREIGN = 0xFF
+FOREIGN = 0xFF  # rank of a letter outside the alphabet in rank_table()
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Alphabet:
             raise AlphabetError("alphabet needs at least two letters")
         if len(self.letters) > 255:
             raise AlphabetError("alphabets larger than 255 letters are not supported")
-        table = bytearray([_FOREIGN]) * 256
+        table = bytearray([FOREIGN]) * 256
         for r, ch in enumerate(self.letters):
             table[ch] = r
         object.__setattr__(self, "_ranks", bytes(table))
@@ -53,7 +53,7 @@ class Alphabet:
         if isinstance(letter, (str, bytes)):
             letter = to_bytes(letter)[0]
         r = self._ranks[letter]
-        return None if r == _FOREIGN else r
+        return None if r == FOREIGN else r
 
     def unrank(self, r: int) -> int:
         return self.letters[r]
@@ -91,7 +91,7 @@ def encode_qgram(gram: str | bytes, a: Alphabet) -> int | None:
     code = 0
     for ch in g:
         r = ranks[ch]
-        if r == _FOREIGN:
+        if r == FOREIGN:
             return None
         code = code * sigma + r
     return code

@@ -21,7 +21,7 @@ from pathlib import Path
 from .alphabet import AlphabetError, build_alphabet, to_bytes
 from .bench import Experiment, format_table, run_experiment
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
-from .searcher import PlanError, SearchPlan, oracle_search, plan, search
+from .searcher import PlanError, SearchPlan, check_overrides, oracle_search, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
 
@@ -134,6 +134,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.header:
         out.write("record\tstart\tlength\trotation\tdistance\n")
     try:
+        check_overrides(m, cfg.q, cfg.c, cfg.epsilon)
         if cfg.mode == "oracle":
             for name, seq in records:
                 if len(seq) * m * m > ORACLE_SCALE_LIMIT:

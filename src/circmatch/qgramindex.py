@@ -2,7 +2,7 @@
 of the doubled pattern.
 
 The doubled pattern x + x[:-1] contains every rotation of x as a factor.
-The index array M holds, for each of the sigma^q grams, the minimum edit
+The index table M holds, for each of the sigma^q grams, the minimum edit
 distance to any factor of it, the empty factor included, so entries never
 exceed q.  M[code] then lower-bounds the distance between that gram and
 anything inside any rotation, which is what makes discarding windows on
@@ -61,20 +61,8 @@ def pattern_digest(x: str | bytes) -> bytes:
 class QGramIndex:
     q: int
     alphabet: Alphabet
-    entries: np.ndarray  # uint8, sigma**q values in [0, q]
+    entries: bytes  # sigma**q values in [0, q], indexed by gram code
     digest: bytes  # pattern_digest of the pattern
-
-    def lookup(self, code: int) -> int:
-        return int(self.entries[code])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QGramIndex)
-            and self.q == other.q
-            and self.alphabet == other.alphabet
-            and self.digest == other.digest
-            and np.array_equal(self.entries, other.entries)
-        )
 
     def to_bytes(self) -> bytes:
         """MAGIC, sigma, q, pattern digest, letters, entries."""
@@ -84,7 +72,7 @@ class QGramIndex:
             + bytes([sigma, self.q])
             + self.digest
             + self.alphabet.letters
-            + self.entries.tobytes()
+            + self.entries
         )
 
     def save(self, path) -> None:
@@ -113,10 +101,9 @@ class QGramIndex:
         body = blob[off + sigma :]
         if len(body) != sigma**q:
             raise ValueError(f"index body has {len(body)} entries, expected {sigma**q}")
-        arr = np.frombuffer(body, dtype=np.uint8).copy()
-        if arr.max() > q:
+        if body.translate(None, bytes(range(q + 1))):
             raise ValueError(f"index file has an entry above q = {q}")
-        return cls(q=q, alphabet=alphabet, entries=arr, digest=blob[off - DIGEST_LEN : off])
+        return cls(q=q, alphabet=alphabet, entries=body, digest=blob[off - DIGEST_LEN : off])
 
     @classmethod
     def load(cls, path) -> "QGramIndex":
@@ -180,7 +167,7 @@ def build_index(
     tops = _grow(np.zeros((1, 2 * m), dtype=np.uint8), 0, depth, mism)
     entries = np.concatenate(
         [_grow(top[None], depth, q - depth, mism).min(axis=1) for top in tops]
-    )
+    ).tobytes()
     return QGramIndex(q=q, alphabet=a, entries=entries, digest=pattern_digest(xb))
 
 
@@ -203,7 +190,7 @@ def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
             if i + length <= len(xp):
                 factors.add(xp[i : i + length])
     factors = sorted(factors)
-    entries = np.empty(a.size**q, dtype=np.uint8)
+    entries = bytearray(a.size**q)
     for gram in enumerate_qgrams(a, q):
         best = q  # the empty factor
         for v in factors:
@@ -213,4 +200,4 @@ def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
                 if best == 0:
                     break
         entries[encode_qgram(gram, a)] = best
-    return QGramIndex(q=q, alphabet=a, entries=entries, digest=pattern_digest(xb))
+    return QGramIndex(q=q, alphabet=a, entries=bytes(entries), digest=pattern_digest(xb))

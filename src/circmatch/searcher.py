@@ -2,8 +2,9 @@
 scan loop that dispatches verifications.
 
 The window has length m - k.  From its right end the loop reads up to
-J = 1 + ceil(k / (c*q)) non-overlapping q-grams leftwards, summing index
-lookups.  Each lookup lower-bounds the edit distance between that gram and
+J = 1 + ceil(k / (c*q)) non-overlapping q-grams leftwards, summing their
+index entries, as in the backward reading of Fredriksson & Navarro (JEA
+2004).  Each entry lower-bounds the edit distance between that gram and
 anything inside any rotation, and any occurrence covering all grams read
 so far absorbs their summed differences, so once the sum exceeds k no
 occurrence can start at or before the leftmost letter read: the window
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._vectordp import min_prefix_distances
-from .alphabet import Alphabet, encode_qgram, to_bytes
+from .alphabet import FOREIGN, Alphabet, to_bytes
 from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex
 from .verifier import Block, Occurrence, verify_block
 
@@ -129,6 +130,16 @@ def _q_caps(m: int, sigma: int, max_entries: int, max_work: int) -> int:
     return q
 
 
+def check_overrides(m: int, q: int | None, c: float | None, epsilon: float) -> None:
+    """Reject a q, c or epsilon outside its range, whatever the mode."""
+    if not 0 < epsilon < 1:
+        raise PlanError(f"epsilon must lie in (0, 1), got epsilon={epsilon}")
+    if c is not None and not 0 < c < 1:
+        raise PlanError(f"c must lie in (0, 1), got c={c}")
+    if q is not None and not 1 <= q < m:
+        raise PlanError(f"q must satisfy 1 <= q < m, got q={q}")
+
+
 def plan(
     m: int,
     k: int,
@@ -151,10 +162,7 @@ def plan(
     """
     if k < 0 or k >= m:
         raise PlanError(f"threshold k={k} must satisfy 0 <= k < m={m}")
-    if not 0 < epsilon < 1:
-        raise PlanError("epsilon must lie in (0, 1)")
-    if c is not None and not 0 < c < 1:
-        raise PlanError(f"c must lie in (0, 1), got c={c}")
+    check_overrides(m, q, c, epsilon)
     sigma = a.size
     wlen = m - k
 
@@ -174,8 +182,6 @@ def plan(
         )
 
     def check(qv: int, cv: float) -> SearchPlan:
-        if not 1 <= qv < m:
-            raise PlanError(f"q must satisfy 1 <= q < m, got q={qv}")
         if sigma**qv > max_index_entries:
             raise PlanError(
                 f"sigma^q = {sigma**qv} exceeds the index budget {max_index_entries}"
@@ -253,41 +259,6 @@ def plan(
     return SearchPlan.verify_all(m, k, epsilon)
 
 
-@dataclass(frozen=True)
-class FilterDecision:
-    action: str  # "verify" or "skip"
-    shift: int | None
-    grams_read: int
-
-
-def filter_window(
-    t: str | bytes, window_start: int, plan: SearchPlan, idx: QGramIndex
-) -> FilterDecision:
-    """Read q-grams backwards from the window end and decide.
-
-    Returns "skip" with the safe shift as soon as the summed lookups
-    exceed k; otherwise "verify" after all J grams.  Grams containing
-    letters outside the index alphabet contribute 0, which can only force
-    a verification, never lose an occurrence.
-    """
-    if plan.mode != "filter":
-        raise ValueError("filter_window needs a filter-mode plan")
-    tb = to_bytes(t)
-    wlen, q, k = plan.window_len, plan.q, plan.k
-    wend = window_start + wlen
-    if wend > len(tb):
-        raise ValueError("window extends past the end of the text")
-    ssum = 0
-    for jj in range(1, plan.j_grams + 1):
-        gpos = wend - jj * q
-        code = encode_qgram(tb[gpos : gpos + q], idx.alphabet)
-        if code is not None:
-            ssum += idx.lookup(code)
-        if ssum > k:
-            return FilterDecision("skip", wlen - jj * q + 1, jj)
-    return FilterDecision("verify", None, plan.j_grams)
-
-
 def search(
     t: str | bytes,
     x: str | bytes,
@@ -302,7 +273,9 @@ def search(
     statistics.
 
     In filter mode the index must be given; in verify-all mode every
-    window is verified and the index is ignored.
+    window is verified and the index is ignored.  A gram holding a letter
+    outside the index alphabet contributes 0 to the window's sum, which
+    can only force a verification, never lose an occurrence.
     """
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
@@ -314,28 +287,43 @@ def search(
     stats = SearchStats()
     occs: list[Occurrence] = []
     filtering = plan.mode == "filter"
-    if filtering and idx is None:
-        raise ValueError("filter mode needs a q-gram index")
+    if filtering:
+        if idx is None:
+            raise ValueError("filter mode needs a q-gram index")
+        q, j_grams, entries = plan.q, plan.j_grams, idx.entries
+        ranks, sigma = idx.alphabet.rank_table(), idx.alphabet.size
     p = 0
     last = n - wlen
     while p <= last:
         stats.windows_examined += 1
         if filtering:
-            decision = filter_window(tb, p, plan, idx)
-            stats.qgrams_read += decision.grams_read
-            stats.chars_inspected += decision.grams_read * plan.q
-        else:
-            decision = FilterDecision("verify", None, 0)
-        if decision.action == "verify":
-            stats.windows_verified += 1
-            block = Block(p, tb[p : p + 2 * m])
-            stats.chars_inspected += len(block.data)
-            occs.extend(verify_block(xb, k, block))
-            p += wlen
-        else:
-            if collect_skips:
-                stats.skips.append((p, decision.shift))
-            p += decision.shift
+            # read grams leftwards from the window end until the summed
+            # entries exceed k or all J are read
+            wend = p + wlen
+            ssum = jj = 0
+            while ssum <= k and jj < j_grams:
+                jj += 1
+                gpos = wend - jj * q
+                code = 0
+                for r in tb[gpos : gpos + q].translate(ranks):
+                    if r == FOREIGN:
+                        break
+                    code = code * sigma + r
+                else:
+                    ssum += entries[code]
+            stats.qgrams_read += jj
+            stats.chars_inspected += jj * q
+            if ssum > k:
+                shift = wlen - jj * q + 1
+                if collect_skips:
+                    stats.skips.append((p, shift))
+                p += shift
+                continue
+        stats.windows_verified += 1
+        block = Block(p, tb[p : p + 2 * m])
+        stats.chars_inspected += len(block.data)
+        occs.extend(verify_block(xb, k, block))
+        p += wlen
     stats.occurrences_reported = len(occs)
     return occs, stats
 

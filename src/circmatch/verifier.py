@@ -22,6 +22,7 @@ kept for cross-checks and work counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .alphabet import to_bytes
 from .bitparallel import rotation_screen
@@ -42,8 +43,7 @@ class Block:
             raise ValueError("negative block offset")
 
 
-@dataclass(frozen=True, order=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A factor of the text within distance k of rotation `rotation`."""
 
     start: int

@@ -89,11 +89,13 @@ def test_cli_invalid_override_reports_constraint(tmp_path, capsys):
         pytest.param(["--c", "0"], "0.0", id="zero"),
         pytest.param(["--mode", "filter", "--c", "2"], "2.0", id="filter-mode"),
         pytest.param(["--c", "nan"], "nan", id="nan"),
+        pytest.param(["--mode", "verify-all", "--c", "1.5"], "1.5", id="verify-all-mode"),
+        pytest.param(["--mode", "oracle", "--c", "0"], "0.0", id="oracle-mode"),
     ],
 )
 def test_cli_c_out_of_range_exits_2(tmp_path, capsys, extra, shown):
     # c without q goes straight to the exponent d(c), which is undefined
-    # outside (0, 1)
+    # outside (0, 1); modes that never plan reject it all the same
     text = tmp_path / "t.txt"
     text.write_text("ACGTACGTTGCAACGTACGTACGTTGCA")
     code, out, err = run_cli(
@@ -101,6 +103,29 @@ def test_cli_c_out_of_range_exits_2(tmp_path, capsys, extra, shown):
     )
     assert code == 2 and out == ""
     assert err == f"error: c must lie in (0, 1), got c={shown}\n"
+
+
+@pytest.mark.parametrize("mode", ["auto", "filter", "verify-all", "oracle"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        pytest.param(["--q", "0"], "q must satisfy 1 <= q < m, got q=0", id="q-zero"),
+        pytest.param(["--q", "16"], "q must satisfy 1 <= q < m, got q=16", id="q-at-m"),
+        pytest.param(
+            ["--epsilon", "1.5"], "epsilon must lie in (0, 1), got epsilon=1.5", id="epsilon-above-one"
+        ),
+    ],
+)
+def test_cli_override_out_of_range_exits_2(tmp_path, capsys, mode, extra, message):
+    text = tmp_path / "t.txt"
+    text.write_text("ACGTACGTTGCAACGTACGTACGTTGCA")
+    code, out, err = run_cli(
+        ["--pattern", "ACGTACGTACGTTGCA", "--text", str(text), "-k", "1", "--mode", mode]
+        + extra,
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_cli_fasta_multi_record(tmp_path, capsys):

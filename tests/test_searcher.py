@@ -11,7 +11,6 @@ from circmatch import (
     SearchPlan,
     build_alphabet,
     build_index,
-    filter_window,
     oracle_search,
     plan,
     rotate,
@@ -76,13 +75,14 @@ def test_plan_override_validation():
 
 
 def test_filter_window_all_zero_sums_verify():
+    # every gram of the text is a factor of the doubled pattern
     a = build_alphabet("ab")
     x = b"abababab"
     p = plan(len(x), 0, a)
     idx = build_index(x, p.q, a)
-    t = x * 4
-    decision = filter_window(t, 0, p, idx)
-    assert decision.action == "verify"
+    _, stats = search(x * 4, x, 0, p, idx, collect_skips=True)
+    assert stats.skips == []
+    assert stats.windows_verified == stats.windows_examined >= 1
 
 
 def test_filter_window_skip_at_k0():
@@ -90,11 +90,10 @@ def test_filter_window_skip_at_k0():
     x = b"aaaaaaaa"
     p = plan(len(x), 0, a)
     idx = build_index(x, p.q, a)
-    t = b"bbbbbbbbbbbbbbbb"
-    decision = filter_window(t, 0, p, idx)
-    assert decision.action == "skip"
-    assert decision.shift == p.window_len - p.q + 1
-    assert decision.grams_read == 1
+    _, stats = search(b"bbbbbbbbbbbbbbbb", x, 0, p, idx, collect_skips=True)
+    assert stats.windows_verified == 0
+    assert stats.skips[0] == (0, p.window_len - p.q + 1)
+    assert stats.qgrams_read == stats.windows_examined == len(stats.skips)
 
 
 def test_filter_window_early_exit_shift():
@@ -107,11 +106,11 @@ def test_filter_window_early_exit_shift():
         mode="filter", m=4, k=1, window_len=3,
         epsilon=0.5, q=1, c=0.5, d=0.1, j_grams=3, unverified_shift=1,
     )
-    assert idx.lookup(1) == 1  # M["b"] against doubled "aaaaaaa"
-    decision = filter_window(b"bbbb", 0, p, idx)
-    assert decision.action == "skip"
-    assert decision.grams_read == 2
-    assert decision.shift == 3 - 2 * 1 + 1 == 2
+    assert idx.entries[1] == 1  # M["b"] against doubled "aaaaaaa"
+    _, stats = search(b"bbbb", x, 1, p, idx, collect_skips=True)
+    assert stats.windows_examined == 1
+    assert stats.qgrams_read == 2
+    assert stats.skips == [(0, 3 - 2 * 1 + 1)] == [(0, 2)]
 
 
 def test_filter_window_foreign_letters_force_verification():
@@ -120,7 +119,32 @@ def test_filter_window_foreign_letters_force_verification():
     p = plan(len(x), 0, a)
     idx = build_index(x, p.q, a)
     t = b"zzzzzzzzzzzzzzzz"  # z is foreign: all grams contribute 0
-    assert filter_window(t, 0, p, idx).action == "verify"
+    _, stats = search(t, x, 0, p, idx, collect_skips=True)
+    assert stats.skips == []
+    assert stats.windows_verified == stats.windows_examined >= 1
+    assert stats.qgrams_read == p.j_grams * stats.windows_examined
+
+
+def test_filter_scan_foreign_letter_inside_occurrence():
+    # seeded DNA text with a rotation planted at 74 whose letter N sits in
+    # an otherwise encodable gram; the plan reads three 4-grams at k = 1
+    a = build_alphabet("dna")
+    x = b"GGCGAACTTGGTCACCCCGA"
+    t = (b"AGTATCTGATGAGATGATCACCGAGAGCCGGGGCGAGGAAGATGTACGGATACTTTCCGCACAGG"
+         b"GACTAGGTTGCGAACTTGGNCACCCCGAGCGAT")
+    p = plan(len(x), 1, a)
+    assert (p.mode, p.q, p.j_grams) == ("filter", 4, 3)
+    idx = build_index(x, p.q, a)
+    got, _ = search(t, x, 1, p, idx)
+    assert got == brute_search(t, x, 1) == [Occurrence(74, 20, 1, 1)]
+    # a copy that encodes the letters past N, as if N were absent, sums a
+    # positive entry for that gram and skips the occurrence
+    past = load_mutant(
+        searcher,
+        "if r == FOREIGN:\n                        break",
+        "if r == FOREIGN:\n                        continue",
+    )
+    assert past.search(t, x, 1, p, idx)[0] != got
 
 
 # (letters, x, k, q, c, t): filter plans where a skip lands exactly on an
