@@ -1,8 +1,7 @@
-"""Finite alphabets, letter ranks, and the q-gram <-> integer encoding."""
+"""Finite alphabets and letter ranks."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -80,48 +79,3 @@ def build_alphabet(spec: str | bytes, data: tuple = ()) -> Alphabet:
             raise AlphabetError("auto alphabet needs at least one sequence")
         return Alphabet(bytes(sorted(seen)))
     return Alphabet(to_bytes(spec))
-
-
-def encode_qgram(gram: str | bytes, a: Alphabet) -> int | None:
-    """Big-endian base-sigma value of a q-gram, or None if any letter is
-    foreign (the caller decides the policy for unencodable grams)."""
-    g = to_bytes(gram)
-    sigma = a.size
-    ranks = a._ranks
-    code = 0
-    for ch in g:
-        r = ranks[ch]
-        if r == FOREIGN:
-            return None
-        code = code * sigma + r
-    return code
-
-
-def decode_qgram(code: int, q: int, a: Alphabet) -> bytes:
-    """Inverse of encode_qgram for codes in [0, sigma**q)."""
-    sigma = a.size
-    out = bytearray(q)
-    for pos in range(q - 1, -1, -1):
-        out[pos] = a.letters[code % sigma]
-        code //= sigma
-    if code:
-        raise ValueError("code out of range for this q")
-    return bytes(out)
-
-
-def enumerate_qgrams(a: Alphabet, q: int, max_count: int | None = None):
-    """Yield all sigma**q grams in encoding order (lexicographic by rank).
-
-    The j-th gram yielded encodes to j.  With max_count set, refuses up
-    front when sigma**q would exceed it.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    total = a.size**q
-    if max_count is not None and total > max_count:
-        raise AlphabetError(
-            f"{a.size}^{q} = {total} q-grams exceed the configured limit {max_count}"
-        )
-    singles = [bytes([ch]) for ch in a.letters]
-    for parts in itertools.product(singles, repeat=q):
-        yield b"".join(parts)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .alphabet import AlphabetError, build_alphabet, to_bytes
-from .bench import Experiment, format_table, run_experiment
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
-from .searcher import PlanError, SearchPlan, check_overrides, oracle_search, plan, search
+from .searcher import PlanError, SearchPlan, SearchStats, check_overrides, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
 
@@ -143,12 +142,8 @@ def run(cfg: RunConfig) -> int:
                         file=sys.stderr,
                     )
                     return 2
-            for name, seq in records:
-                occs = oracle_search(seq, pattern, cfg.k)
-                found_any |= bool(occs)
-                totals["occ"] += len(occs)
-                for o in occs:
-                    out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
+            # imported here: the oracle needs numpy, which searching does not
+            from .reference import oracle_search
         else:
             if cfg.mode == "verify-all":
                 pln = SearchPlan.verify_all(m, cfg.k, cfg.epsilon)
@@ -173,16 +168,19 @@ def run(cfg: RunConfig) -> int:
                     idx = build_index(pattern, pln.q, alphabet)
                     if cfg.index_cache:
                         idx.save(cfg.index_cache)
-            for name, seq in records:
+        for name, seq in records:
+            if cfg.mode == "oracle":
+                occs, st = oracle_search(seq, pattern, cfg.k), SearchStats()
+            else:
                 occs, st = search(seq, pattern, cfg.k, pln, idx)
-                found_any |= bool(occs)
-                totals["examined"] += st.windows_examined
-                totals["verified"] += st.windows_verified
-                totals["qgrams"] += st.qgrams_read
-                totals["chars"] += st.chars_inspected
-                totals["occ"] += len(occs)
-                for o in occs:
-                    out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
+            found_any |= bool(occs)
+            totals["examined"] += st.windows_examined
+            totals["verified"] += st.windows_verified
+            totals["qgrams"] += st.qgrams_read
+            totals["chars"] += st.chars_inspected
+            totals["occ"] += len(occs)
+            for o in occs:
+                out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
     except (PlanError, IndexBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -258,6 +256,9 @@ def _bench_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "bench":
+        # imported here: the benchmark's generator needs numpy
+        from .bench import Experiment, format_table, run_experiment
+
         args = _bench_parser().parse_args(argv[1:])
         try:
             pairs = tuple(

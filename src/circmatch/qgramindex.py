@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .alphabet import Alphabet, AlphabetError, encode_qgram, enumerate_qgrams, to_bytes
-from .editcore import full_edit_distance
+from .alphabet import Alphabet, AlphabetError, to_bytes
 
 MAGIC = b"CIRCIDX2"
 OLD_MAGIC = b"CIRCIDX1"
@@ -114,6 +111,8 @@ class QGramIndex:
 def _grow(rows: np.ndarray, level: int, depth: int, mism: np.ndarray) -> np.ndarray:
     """DP rows of the trie nodes `depth` levels below the nodes `rows` at
     `level`; the children of node p are p*sigma .. p*sigma + sigma - 1."""
+    import numpy as np  # already loaded by build_index, the only caller
+
     sigma, w = len(mism), rows.shape[1]
     for i in range(level + 1, level + depth + 1):
         nxt = np.empty((len(rows), sigma, w), dtype=np.uint8)
@@ -157,6 +156,10 @@ def build_index(
             f"{sigma}^{q} = {total} index entries exceed the budget of {max_entries}",
             required=total,
         )
+    # imported here: numpy takes about 0.1 s to load, which runs that
+    # never build an index should not pay
+    import numpy as np
+
     xp = np.frombuffer(build_doubled(xb), dtype=np.uint8)
     mism = (xp != np.frombuffer(a.letters, dtype=np.uint8)[:, None]).view(np.uint8)
     row_bytes = 2 * (2 * m)  # a row of 2m cells and its share of one temporary
@@ -169,35 +172,3 @@ def build_index(
         [_grow(top[None], depth, q - depth, mism).min(axis=1) for top in tops]
     ).tobytes()
     return QGramIndex(q=q, alphabet=a, entries=entries, digest=pattern_digest(xb))
-
-
-def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
-    """Reference index by exhaustive enumeration: for every gram, the full
-    DP distance to every factor of the doubled pattern of length 0..2q.
-
-    Desk-scale only (sigma^q <= 4096, len(x) <= 32).
-    """
-    xb = to_bytes(x)
-    m = len(xb)
-    if q < 1 or m < 1:
-        raise ValueError("need q >= 1 and a non-empty pattern")
-    if a.size**q > 4096 or m > 32:
-        raise ValueError("brute-force index is limited to sigma^q <= 4096, m <= 32")
-    xp = build_doubled(xb)
-    factors = {b""}
-    for i in range(len(xp)):
-        for length in range(1, 2 * q + 1):
-            if i + length <= len(xp):
-                factors.add(xp[i : i + length])
-    factors = sorted(factors)
-    entries = bytearray(a.size**q)
-    for gram in enumerate_qgrams(a, q):
-        best = q  # the empty factor
-        for v in factors:
-            d = full_edit_distance(gram, v).distance
-            if d < best:
-                best = d
-                if best == 0:
-                    break
-        entries[encode_qgram(gram, a)] = best
-    return QGramIndex(q=q, alphabet=a, entries=bytes(entries), digest=pattern_digest(xb))

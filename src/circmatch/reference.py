@@ -1,5 +1,18 @@
-"""Edit-distance primitives: full and banded dynamic programming plus the
-wave representation of the banded matrix.
+"""Reference implementations that check the search; none of them is on
+the search path, and `import circmatch` does not load this module.
+
+* q-gram encoding: `encode_qgram`, `decode_qgram` and `enumerate_qgrams`
+  spell out the big-endian base-sigma code that `search` computes inline
+  through the alphabet's rank table.
+* rows: `rotate` and `dedup_occurrences` (one row per (start, rotation),
+  minimal distance then minimal length).
+* edit distance: the full and banded dynamic programming matrices, and
+  the wave representation of the banded matrix.
+* `verify_block_waves`: `verifier.verify_block`'s output, found by
+  driving the waves over a block with a work count.
+* `min_prefix_distances` and `oracle_search`: a vectorized banded pass
+  over every start and rotation, sharing no kernel with the search.
+* `brute_force_index`: the q-gram index by exhaustive enumeration.
 
 The wave representation keeps, for every value h in [0, k] and every
 diagonal d = j - i in [-k, k], the lowest cell (i, j) of the matrix whose
@@ -15,17 +28,89 @@ neighbouring frontiers of level h - 1 and then slides down the run of
 matching letters.  One construction costs O((k+1)^2) frontier updates
 plus the match-run scans.
 
-`verify_block_waves` drives the waves over a verification block, one
-start and one rotation at a time, as a reference engine with a work
-count.
+The vectorized band pass takes a batch of equal-length patterns (all
+rotations of one pattern) and advances the band of each pattern-vs-suffix
+matrix row by row simultaneously for every candidate start: the state is
+one array per band offset holding a (pattern, start) matrix of cell
+values.  Values above the threshold are clamped, and the pass aborts once
+every tracked cell exceeds the threshold, which on random text happens a
+couple of rows past the band width.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .alphabet import to_bytes
-from .verifier import Block, Occurrence, dedup_occurrences
+import numpy as np
+
+from .alphabet import FOREIGN, Alphabet, AlphabetError, to_bytes
+from .qgramindex import QGramIndex, build_doubled, pattern_digest
+from .verifier import Block, Occurrence
+
+
+def encode_qgram(gram: str | bytes, a: Alphabet) -> int | None:
+    """Big-endian base-sigma value of a q-gram, or None if any letter is
+    foreign (the caller decides the policy for unencodable grams)."""
+    g = to_bytes(gram)
+    sigma = a.size
+    ranks = a.rank_table()
+    code = 0
+    for ch in g:
+        r = ranks[ch]
+        if r == FOREIGN:
+            return None
+        code = code * sigma + r
+    return code
+
+
+def decode_qgram(code: int, q: int, a: Alphabet) -> bytes:
+    """Inverse of encode_qgram for codes in [0, sigma**q)."""
+    sigma = a.size
+    out = bytearray(q)
+    for pos in range(q - 1, -1, -1):
+        out[pos] = a.letters[code % sigma]
+        code //= sigma
+    if code:
+        raise ValueError("code out of range for this q")
+    return bytes(out)
+
+
+def enumerate_qgrams(a: Alphabet, q: int, max_count: int | None = None):
+    """Yield all sigma**q grams in encoding order (lexicographic by rank).
+
+    The j-th gram yielded encodes to j.  With max_count set, refuses up
+    front when sigma**q would exceed it.
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    total = a.size**q
+    if max_count is not None and total > max_count:
+        raise AlphabetError(
+            f"{a.size}^{q} = {total} q-grams exceed the configured limit {max_count}"
+        )
+    singles = [bytes([ch]) for ch in a.letters]
+    for parts in itertools.product(singles, repeat=q):
+        yield b"".join(parts)
+
+
+def rotate(x, i: int):
+    """The i-th rotation x[i:] + x[:i]."""
+    if not 0 <= i < len(x):
+        raise ValueError(f"rotation index {i} out of range for length {len(x)}")
+    return x[i:] + x[:i]
+
+
+def dedup_occurrences(occs) -> list[Occurrence]:
+    """Keep one occurrence per (start, rotation): minimal distance, then
+    minimal length.  Sorted by (start, rotation)."""
+    best: dict[tuple[int, int], Occurrence] = {}
+    for o in occs:
+        key = (o.start, o.rotation)
+        old = best.get(key)
+        if old is None or (o.distance, o.length) < (old.distance, old.length):
+            best[key] = o
+    return [best[key] for key in sorted(best)]
 
 
 @dataclass
@@ -285,3 +370,133 @@ def verify_block_waves(
             waves = waves_drop_text_prefix(waves, waves.pattern, suffix, tally)
             suffix = suffix[1:]
     return dedup_occurrences(out)
+
+
+_BIG = np.int16(4096)
+
+
+def min_prefix_distances(
+    patterns: np.ndarray, text: np.ndarray, k: int, starts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each pattern row and each start p in [0, starts): the minimum
+    over L of the edit distance to text[p:p+L], and the smallest such L
+    among the minima.
+
+    patterns has shape (R, m).  Returns (R, starts) arrays; distances
+    above k come back as a value > k, callers test <= k.  Prefixes are
+    clipped at the end of `text`.
+    """
+    if patterns.ndim == 1:
+        patterns = patterns[None, :]
+    nrot, m = patterns.shape
+    n = len(text)
+    if starts <= 0 or nrot == 0:
+        return (
+            np.empty((nrot, 0), dtype=np.int16),
+            np.empty((nrot, 0), dtype=np.int64),
+        )
+    width = 2 * k + 1
+    pad = np.full(m + k + 2, 256, dtype=np.int16)
+    tp = np.concatenate([text.astype(np.int16), pad])
+    pat = patterns.astype(np.int16)
+    band: list[np.ndarray] = []
+    for b in range(-k, k + 1):
+        fill = b if b >= 0 else _BIG
+        band.append(np.full((nrot, starts), fill, dtype=np.int16))
+    dead_check_from = k + 2
+    dead = False
+    for r in range(1, m + 1):
+        pr = pat[:, r - 1 : r]  # (R, 1), broadcasts against the text slice
+        new: list[np.ndarray] = []
+        for bi, b in enumerate(range(-k, k + 1)):
+            j = r + b
+            if j < 0:
+                new.append(np.full((nrot, starts), _BIG, dtype=np.int16))
+                continue
+            if j >= 1:
+                lo = r - 1 + b
+                cell = band[bi] + (tp[lo : lo + starts][None, :] != pr)
+            else:
+                cell = np.full((nrot, starts), _BIG, dtype=np.int16)
+            if bi + 1 < width:
+                np.minimum(cell, band[bi + 1] + 1, out=cell)
+            if bi > 0 and j >= 1:
+                np.minimum(cell, new[bi - 1] + 1, out=cell)
+            np.minimum(cell, _BIG, out=cell)
+            new.append(cell)
+        band = new
+        if r >= dead_check_from and r < m and (r - dead_check_from) % 4 == 0:
+            if int(np.min(np.stack(band))) > k:
+                dead = True
+                break
+    if dead:
+        return (
+            np.full((nrot, starts), _BIG, dtype=np.int16),
+            np.full((nrot, starts), m, dtype=np.int64),
+        )
+    stack = np.stack(band)  # (width, R, starts)
+    # ends beyond the text are not prefixes of anything real
+    for bi, b in enumerate(range(-k, k + 1)):
+        first_bad = max(0, n - m - b + 1)
+        if first_bad < starts:
+            stack[bi, :, first_bad:] = _BIG
+    dmin = stack.min(axis=0)
+    barg = stack.argmin(axis=0)  # first minimum: smallest offset, shortest prefix
+    lmin = m + (barg.astype(np.int64) - k)
+    return dmin, lmin
+
+
+def oracle_search(t: str | bytes, x: str | bytes, k: int) -> list[Occurrence]:
+    """Reference search: for every start and every rotation, the banded
+    distance to every clipped prefix, minimum distance then minimum length.
+
+    Independent of the window/filtration machinery; intended for
+    correctness checking at desk scale.
+    """
+    tb, xb = to_bytes(t), to_bytes(x)
+    n, m = len(tb), len(xb)
+    if k < 0 or k >= m:
+        raise ValueError("need 0 <= k < len(pattern)")
+    if n == 0:
+        return []
+    arr = np.frombuffer(tb, dtype=np.uint8)
+    doubled = np.frombuffer(xb + xb, dtype=np.uint8)
+    rot_matrix = np.lib.stride_tricks.sliding_window_view(doubled, m)[:m]
+    dmin, lmin = min_prefix_distances(rot_matrix, arr, k, n)
+    # (p, r) pairs in increasing order, one each
+    return [
+        Occurrence(int(p), int(lmin[r, p]), int(r), int(dmin[r, p]))
+        for p, r in np.argwhere(dmin.T <= k)
+    ]
+
+
+def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
+    """Reference index by exhaustive enumeration: for every gram, the full
+    DP distance to every factor of the doubled pattern of length 0..2q.
+
+    Desk-scale only (sigma^q <= 4096, len(x) <= 32).
+    """
+    xb = to_bytes(x)
+    m = len(xb)
+    if q < 1 or m < 1:
+        raise ValueError("need q >= 1 and a non-empty pattern")
+    if a.size**q > 4096 or m > 32:
+        raise ValueError("brute-force index is limited to sigma^q <= 4096, m <= 32")
+    xp = build_doubled(xb)
+    factors = {b""}
+    for i in range(len(xp)):
+        for length in range(1, 2 * q + 1):
+            if i + length <= len(xp):
+                factors.add(xp[i : i + length])
+    factors = sorted(factors)
+    entries = bytearray(a.size**q)
+    for gram in enumerate_qgrams(a, q):
+        best = q  # the empty factor
+        for v in factors:
+            d = full_edit_distance(gram, v).distance
+            if d < best:
+                best = d
+                if best == 0:
+                    break
+        entries[encode_qgram(gram, a)] = best
+    return QGramIndex(q=q, alphabet=a, entries=bytes(entries), digest=pattern_digest(xb))

@@ -31,11 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ._vectordp import min_prefix_distances
 from .alphabet import FOREIGN, Alphabet, to_bytes
-from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex
+from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex, pattern_digest
 from .verifier import Block, Occurrence, verify_block
 
 
@@ -48,20 +45,20 @@ class SearchPlan:
     mode: str  # "filter" or "verify-all"
     m: int
     k: int
-    window_len: int
     epsilon: float
     q: int | None = None
     c: float | None = None
     d: float | None = None
     j_grams: int | None = None
-    unverified_shift: int | None = None  # worst case: all J grams read
+
+    @property
+    def window_len(self) -> int:
+        return self.m - self.k
 
     @classmethod
     def verify_all(cls, m: int, k: int, epsilon: float = 0.5) -> SearchPlan:
         """The plan that verifies every window."""
-        return cls(
-            mode="verify-all", m=m, k=k, window_len=m - k, epsilon=epsilon
-        )
+        return cls(mode="verify-all", m=m, k=k, epsilon=epsilon)
 
 
 @dataclass
@@ -167,18 +164,15 @@ def plan(
     wlen = m - k
 
     def make(qv: int, cv: float, dv: float) -> SearchPlan:
-        j = _grams_per_window(k, cv, qv)
         return SearchPlan(
             mode="filter",
             m=m,
             k=k,
-            window_len=wlen,
             epsilon=epsilon,
             q=qv,
             c=cv,
             d=dv,
-            j_grams=j,
-            unverified_shift=wlen - j * qv + 1,
+            j_grams=_grams_per_window(k, cv, qv),
         )
 
     def check(qv: int, cv: float) -> SearchPlan:
@@ -272,16 +266,17 @@ def search(
     one per (start, rotation) and sorted by (start, rotation), plus scan
     statistics.
 
-    In filter mode the index must be given; in verify-all mode every
-    window is verified and the index is ignored.  A gram holding a letter
-    outside the index alphabet contributes 0 to the window's sum, which
-    can only force a verification, never lose an occurrence.
+    In filter mode the index must be given, built with the plan's q for
+    this pattern; in verify-all mode every window is verified and the
+    index is ignored.  A gram holding a letter outside the index alphabet
+    contributes 0 to the window's sum, which can only force a
+    verification, never lose an occurrence.
     """
     tb, xb = to_bytes(t), to_bytes(x)
     n, m = len(tb), len(xb)
     if k < 0 or k >= m:
         raise ValueError("need 0 <= k < len(pattern)")
-    if plan.m != m or plan.k != k or plan.window_len != m - k:
+    if plan.m != m or plan.k != k:
         raise ValueError("plan was built for a different (m, k)")
     wlen = plan.window_len
     stats = SearchStats()
@@ -290,6 +285,10 @@ def search(
     if filtering:
         if idx is None:
             raise ValueError("filter mode needs a q-gram index")
+        if idx.q != plan.q:
+            raise ValueError(f"index was built with q={idx.q} but the plan has q={plan.q}")
+        if idx.digest != pattern_digest(xb):
+            raise ValueError("index was built for a different pattern")
         q, j_grams, entries = plan.q, plan.j_grams, idx.entries
         ranks, sigma = idx.alphabet.rank_table(), idx.alphabet.size
     p = 0
@@ -361,26 +360,3 @@ def search_chunked(
     stats.occurrences_reported = len(out)
     return out, stats
 
-
-def oracle_search(t: str | bytes, x: str | bytes, k: int) -> list[Occurrence]:
-    """Reference search: for every start and every rotation, the banded
-    distance to every clipped prefix, minimum distance then minimum length.
-
-    Independent of the window/filtration machinery; intended for
-    correctness checking at desk scale.
-    """
-    tb, xb = to_bytes(t), to_bytes(x)
-    n, m = len(tb), len(xb)
-    if k < 0 or k >= m:
-        raise ValueError("need 0 <= k < len(pattern)")
-    if n == 0:
-        return []
-    arr = np.frombuffer(tb, dtype=np.uint8)
-    doubled = np.frombuffer(xb + xb, dtype=np.uint8)
-    rot_matrix = np.lib.stride_tricks.sliding_window_view(doubled, m)[:m]
-    dmin, lmin = min_prefix_distances(rot_matrix, arr, k, n)
-    # (p, r) pairs in increasing order, one each
-    return [
-        Occurrence(int(p), int(lmin[r, p]), int(r), int(dmin[r, p]))
-        for p, r in np.argwhere(dmin.T <= k)
-    ]

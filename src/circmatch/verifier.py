@@ -15,8 +15,8 @@ the distance of every (start, rotation) pair, and most blocks end there
 with no field within k.  For each start that hits, one more packed pass
 from that start finds the shortest length of every hit rotation.
 
-`editcore.verify_block_waves` is a second engine with the same output,
-kept for cross-checks and work counts.
+`circmatch.reference.verify_block_waves` is a second engine with the same
+output, kept for cross-checks and work counts.
 """
 
 from __future__ import annotations
@@ -50,25 +50,6 @@ class Occurrence(NamedTuple):
     length: int
     rotation: int
     distance: int
-
-
-def rotate(x, i: int):
-    """The i-th rotation x[i:] + x[:i]."""
-    if not 0 <= i < len(x):
-        raise ValueError(f"rotation index {i} out of range for length {len(x)}")
-    return x[i:] + x[:i]
-
-
-def dedup_occurrences(occs) -> list[Occurrence]:
-    """Keep one occurrence per (start, rotation): minimal distance, then
-    minimal length.  Sorted by (start, rotation)."""
-    best: dict[tuple[int, int], Occurrence] = {}
-    for o in occs:
-        key = (o.start, o.rotation)
-        old = best.get(key)
-        if old is None or (o.distance, o.length) < (old.distance, old.length):
-            best[key] = o
-    return [best[key] for key in sorted(best)]
 
 
 def verify_block(x: str | bytes, k: int, block: Block) -> list[Occurrence]:

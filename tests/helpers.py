@@ -11,7 +11,8 @@ import random
 import sys
 import types
 
-from circmatch import Occurrence, dedup_occurrences, full_edit_distance, rotate
+from circmatch import Occurrence
+from circmatch.reference import dedup_occurrences, full_edit_distance, rotate
 from circmatch.verifier import Block
 
 

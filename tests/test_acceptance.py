@@ -9,26 +9,21 @@ import time
 
 import pytest
 
-from circmatch import (
-    Experiment,
-    QGramIndex,
+from circmatch import QGramIndex, build_alphabet, build_index, plan, search, search_chunked
+from circmatch.bench import Experiment, run_experiment
+from circmatch.reference import (
+    WorkTally,
     banded_edit_distance,
     brute_force_index,
-    build_alphabet,
-    build_index,
     full_edit_distance,
     occurrence_scan,
     oracle_search,
-    plan,
     rotate,
-    run_experiment,
-    search,
-    search_chunked,
+    verify_block_waves,
     waves_drop_text_prefix,
     waves_from_scratch,
     waves_rotate_pattern,
 )
-from circmatch.editcore import WorkTally, verify_block_waves
 from circmatch.verifier import Block
 from helpers import (
     brute_search,

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmatch import (
-    AlphabetError,
-    build_alphabet,
-    decode_qgram,
-    encode_qgram,
-    enumerate_qgrams,
-)
+from circmatch import AlphabetError, build_alphabet
+from circmatch.reference import decode_qgram, encode_qgram, enumerate_qgrams
 
 
 def test_dna_preset():

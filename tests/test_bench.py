@@ -1,4 +1,4 @@
-from circmatch import Experiment, format_table, run_experiment
+from circmatch.bench import Experiment, format_table, run_experiment
 
 
 def _strip_wall(rows):

@@ -7,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circmatch import bitparallel
-from circmatch._vectordp import min_prefix_distances
 from circmatch.bitparallel import RotationScreen
-from circmatch.editcore import full_edit_distance
+from circmatch.reference import full_edit_distance, min_prefix_distances
 from circmatch.verifier import Block, Occurrence
 from helpers import boundary_blocks, brute_block_occurrences, load_mutant
 

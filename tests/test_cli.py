@@ -1,7 +1,10 @@
 import io
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,3 +331,30 @@ def test_cli_oracle_mode_desk_scale_guard(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "oracle mode refuses" in err
+
+
+def test_search_path_loads_no_numpy_reference_or_bench(tmp_path):
+    # numpy is for building an index, the oracle and the benchmark only;
+    # a fresh interpreter that searches in verify-all mode never loads it
+    text = tmp_path / "t.fa"
+    text.write_text(">r1\nTTACGTACGTTGCATT\n>r2\nGGTTGCAACGTACGGG\n")
+    script = f"""
+import sys
+import circmatch
+from circmatch import SearchPlan, search
+from circmatch import cli
+occs, _ = search(b"TTACGTACGTTGCATT", b"ACGTACGTTGCA", 1, SearchPlan.verify_all(12, 1))
+assert occs
+code = cli.main(["--pattern", "ACGTACGTTGCA", "--text", {str(text)!r}, "-k", "1",
+                 "--mode", "verify-all"])
+assert code == 0, code
+loaded = [n for n in ("numpy", "circmatch.reference", "circmatch.bench") if n in sys.modules]
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("r1\t")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmatch import (
+from circmatch.reference import (
     banded_edit_distance,
     full_edit_distance,
     occurrence_scan,

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circmatch import (
-    IndexBudgetError,
-    QGramIndex,
-    brute_force_index,
-    build_alphabet,
-    build_doubled,
-    build_index,
-    encode_qgram,
-    full_edit_distance,
-    rotate,
-)
+from circmatch import IndexBudgetError, QGramIndex, build_alphabet, build_index
+from circmatch.qgramindex import build_doubled
+from circmatch.reference import brute_force_index, encode_qgram, full_edit_distance, rotate
 from helpers import letters_for, random_string
 
 

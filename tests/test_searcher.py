@@ -11,14 +11,13 @@ from circmatch import (
     SearchPlan,
     build_alphabet,
     build_index,
-    oracle_search,
     plan,
-    rotate,
     search,
     search_chunked,
 )
 from circmatch import searcher
 from circmatch.bitparallel import rotation_screen
+from circmatch.reference import oracle_search, rotate
 from circmatch.searcher import d_exponent
 from helpers import brute_search, letters_for, load_mutant, plant_edited_rotation, random_string
 
@@ -57,7 +56,6 @@ def test_plan_invariants_when_filtering():
             assert p.d > 0
             assert p.j_grams * p.q <= p.window_len
             assert 2 * p.q + (k / p.c if k else 0) <= p.window_len
-            assert p.unverified_shift >= 1
             assert 1 <= p.q < m and 0 < p.c < 1
     assert feasible > 50
 
@@ -103,8 +101,8 @@ def test_filter_window_early_exit_shift():
     x = b"aaaa"
     idx = build_index(x, 1, a)
     p = SearchPlan(
-        mode="filter", m=4, k=1, window_len=3,
-        epsilon=0.5, q=1, c=0.5, d=0.1, j_grams=3, unverified_shift=1,
+        mode="filter", m=4, k=1,
+        epsilon=0.5, q=1, c=0.5, d=0.1, j_grams=3,
     )
     assert idx.entries[1] == 1  # M["b"] against doubled "aaaaaaa"
     _, stats = search(b"bbbb", x, 1, p, idx, collect_skips=True)
@@ -395,6 +393,23 @@ def test_search_rejects_mismatched_plan():
     p = plan(8, 1, a)
     with pytest.raises(ValueError):
         search(b"abcabcabc", b"abcabcabc", 1, p, None)
+
+
+def test_search_rejects_index_that_does_not_fit():
+    # an index for another pattern would lose occurrences, and one with a
+    # smaller q would read past the end of its entries
+    rng = random.Random(0)
+    a = build_alphabet("dna")
+    x = random_string(rng, b"ACGT", 30)
+    t = bytearray(random_string(rng, b"ACGT", 190))
+    plant_edited_rotation(rng, t, x, 2, b"ACGT")
+    p = plan(30, 2, a)
+    assert p.mode == "filter" and len(search(t, x, 2, p, build_index(x, p.q, a))[0]) > 0
+    with pytest.raises(ValueError, match="^index was built for a different pattern$"):
+        search(t, x, 2, p, build_index(b"T" * 30, p.q, a))
+    wanted = f"^index was built with q={p.q - 1} but the plan has q={p.q}$"
+    with pytest.raises(ValueError, match=wanted):
+        search(t, x, 2, p, build_index(x, p.q - 1, a))
 
 
 def test_chunked_equals_single():

@@ -10,14 +10,17 @@ from circmatch import (
     SearchPlan,
     build_alphabet,
     build_index,
-    dedup_occurrences,
     plan,
-    rotate,
     search,
     verify_block,
 )
-from circmatch.editcore import WorkTally, verify_block_waves
-from circmatch.searcher import oracle_search
+from circmatch.reference import (
+    WorkTally,
+    dedup_occurrences,
+    oracle_search,
+    rotate,
+    verify_block_waves,
+)
 from circmatch.verifier import Block
 from helpers import (
     boundary_blocks,
@@ -126,7 +129,7 @@ def test_engines_agree_with_brute_force():
 
 
 def test_soundness_on_planted_blocks():
-    from circmatch import full_edit_distance
+    from circmatch.reference import full_edit_distance
 
     rng = random.Random(77)
     for _ in range(40):
