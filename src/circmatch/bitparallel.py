@@ -1,7 +1,7 @@
-"""Bit-parallel verification of a text block against every rotation of a
-pattern.
+"""Bit-parallel verification of a stretch of text against every rotation of
+a pattern.
 
-One pass over the block advances Myers' bit-vector DP (J. ACM 1999) for all
+One pass over the text advances Myers' bit-vector DP (J. ACM 1999) for all
 m rotations at once.  The rotations are packed side by side into one Python
 int per bit vector (Hyyro, Fredriksson & Navarro, JEA 2005), so a step is
 about twenty operations on m(m+1)-bit ints in place of m separate passes:
@@ -14,23 +14,30 @@ about twenty operations on m(m+1)-bit ints in place of m separate passes:
   * the last-row scores live in one more packed int with the same layout,
     each field counting +1 / -1 off the top pattern bit of hp / hn.
 
-`occurrences` settles a block in two kinds of pass:
+`occurrences(data, starts)` settles the first `starts` positions of `data`
+as candidate starts, `data` reaching m + k letters past the last of them
+or to the end of the text.  `search` hands it one slice per run of
+verified windows, the whole text in verify-all mode; `verify_block` hands
+it one 2m-letter block.  It runs two kinds of pass:
 
-  * distances: one pass reads the block right to left against the reversed
+  * distances: one pass reads the data right to left against the reversed
     rotations with a free start (D[0][j] = 0), so after the letter at
     position p the score in field r is the least distance between rotation
-    r and any factor of the block starting at p.  Only the last `starts`
+    r and any factor of the data starting at p.  Only the last `starts`
     steps are tested: with t = m.bit_length() and bias = 2^t - k - 1 in
     every field, bit t of score + bias is clear exactly where score <= k,
-    and each clear bit names a hit field, r = bit // (m+1);
-  * lengths: for each start that hit, one pass reads the block left to
-    right from that start with a global start (a 1 shifted into hp, every
-    score starting at m), packing only the forward rotations that hit
-    there.  The score of a rotation after j letters is its distance to the
-    factor of length j, which never drops below the minimum found above;
-    the first j where it meets that minimum is the shortest length, and the
-    pass stops once every packed rotation has met its own.  Rotations that
-    are the same string, as all are in a unary pattern, are packed once.
+    and each clear bit names a hit field, r = bit // (m+1).  A hit is
+    decoded into {rotation: distance} as the pass meets it, so the pass
+    keeps no packed state per hit;
+  * lengths: for each start that hit, one pass reads the m + k letters
+    from that start left to right with a global start (a 1 shifted into
+    hp, every score starting at m), packing only the forward rotations that
+    hit there.  The score of a rotation after j letters is its distance to
+    the factor of length j, which never drops below the minimum found
+    above; the first j where it meets that minimum is the shortest length,
+    and the pass stops once every packed rotation has met its own.
+    Rotations that are the same string, as all are in a unary pattern, are
+    packed once.
 """
 
 from __future__ import annotations
@@ -98,6 +105,7 @@ class RotationScreen:
         test, bias, width = self.test, self.bias, self.width
         vp, vn, score = mask, 0, self.start
         first_test = len(data) - starts
+        field = (1 << width) - 1
         hits = []
         for i, ch in enumerate(reversed(data)):
             x = peq[ch] | vn
@@ -111,18 +119,15 @@ class RotationScreen:
             if i >= first_test:
                 z = test & ~(score + bias)
                 if z:
-                    hits.append((len(data) - 1 - i, z, score))
-        out = []
-        field = (1 << width) - 1
-        for p, z, score in reversed(hits):
-            dist = {}
-            while z:
-                b = z & -z
-                r = (b.bit_length() - 1) // width
-                dist[r] = (score >> (r * width)) & field
-                z ^= b
-            out.append((p, dist))
-        return out
+                    dist = {}
+                    while z:
+                        b = z & -z
+                        r = (b.bit_length() - 1) // width
+                        dist[r] = (score >> (r * width)) & field
+                        z ^= b
+                    hits.append((len(data) - 1 - i, dist))
+        hits.reverse()
+        return hits
 
     def _lengths(self, data: bytes, dist: dict[int, int]) -> dict[int, int]:
         """For each rotation r in `dist`, the least j at which rotation r is

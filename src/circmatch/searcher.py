@@ -9,9 +9,16 @@ anything inside any rotation, and any occurrence covering all grams read
 so far absorbs their summed differences, so once the sum exceeds k no
 occurrence can start at or before the leftmost letter read: the window
 skips one position past it.  If all J grams stay within budget the window
-is verified with a 2m block and advances by its full length, so each
-verified block owns the next m-k starts and the occurrences come out
-sorted by (start, rotation) with no pass to merge them.
+is verified: its m-k starts join the run of verified starts [lo, hi) when
+the window touches it, and the window advances by its full length.  When a
+window that does not touch the run verifies, and at the end of the text,
+the run is settled by one pass of the rotation screen over
+t[lo : hi + m + k], which holds every factor within k of a rotation that
+starts in the run (such a factor is at most m + k letters long).  A window
+on its own gets a 2m-letter slice; in verify-all mode the whole text is one
+run and one pass.  Runs are disjoint and settled left to right, so the
+occurrences come out sorted by (start, rotation) with no pass to merge
+them.
 
 Parameter planning picks (q, c) so the difference-rate exponent
 
@@ -23,7 +30,8 @@ and build-work budgets.  For sigma >= 8 the classical ceiling
 c < 1 - e/sqrt(sigma) additionally caps the grid; for smaller alphabets
 that bound is vacuous and positivity of d(c) is the operative test.
 When no pair (q, c) is feasible the plan falls back to verifying every
-window, which stays correct at O(n m k / (m-k)) expected cost.
+window, which stays correct: the text is then one run, and the screen
+reads each letter once.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ import math
 from dataclasses import dataclass, field
 
 from .alphabet import FOREIGN, Alphabet, to_bytes
+from .bitparallel import rotation_screen
 from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex, pattern_digest
-from .verifier import Block, Occurrence, verify_block
+from .verifier import Occurrence
 
 
 class PlanError(ValueError):
@@ -63,6 +72,10 @@ class SearchPlan:
 
 @dataclass
 class SearchStats:
+    """Deterministic counters of one search.  `chars_inspected` is the
+    letters read by the filter (q per gram read) plus the letters of every
+    run slice the screen settled, so it is n in verify-all mode."""
+
     windows_examined: int = 0
     windows_verified: int = 0
     qgrams_read: int = 0
@@ -291,7 +304,20 @@ def search(
             raise ValueError("index was built for a different pattern")
         q, j_grams, entries = plan.q, plan.j_grams, idx.entries
         ranks, sigma = idx.alphabet.rank_table(), idx.alphabet.size
-    p = 0
+    screen = rotation_screen(xb, k)
+
+    def settle(lo: int, hi: int) -> None:
+        # one pass over the run of starts [lo, hi) and the m + k letters
+        # past it, as far as a factor within k of a rotation reaches
+        if lo < hi:
+            data = tb[lo : hi + m + k]
+            stats.chars_inspected += len(data)
+            occs.extend(
+                Occurrence(lo + s, length, r, d)
+                for s, length, r, d in screen.occurrences(data, hi - lo)
+            )
+
+    lo = hi = p = 0  # [lo, hi): the verified starts not yet settled
     last = n - wlen
     while p <= last:
         stats.windows_examined += 1
@@ -319,10 +345,11 @@ def search(
                 p += shift
                 continue
         stats.windows_verified += 1
-        block = Block(p, tb[p : p + 2 * m])
-        stats.chars_inspected += len(block.data)
-        occs.extend(verify_block(xb, k, block))
-        p += wlen
+        if p != hi:
+            settle(lo, hi)
+            lo = p
+        p = hi = p + wlen
+    settle(lo, hi)
     stats.occurrences_reported = len(occs)
     return occs, stats
 

@@ -1,9 +1,12 @@
-"""Verification of a text block against every rotation of the pattern.
+"""Verification of a text block against every rotation of the pattern, and
+the Occurrence record that every search reports.
 
-A block is the 2m-letter stretch of text that a triggered window may
-contain occurrences in: candidate starts are the first m-k positions and
-an occurrence extends at most m+k letters, so (m-k) + (m+k) = 2m covers
-everything.
+A block is a stretch of text whose first m-k positions are the candidate
+starts.  An occurrence extends at most m+k letters, so a block of
+(m-k) + (m+k) = 2m letters holds every factor that can hit; a shorter
+block is read as the end of the text.  `search` settles its runs of
+verified windows with the same screen, one slice per run; verify_block is
+the one-window form of that, for callers that hold a single block.
 
 verify_block reports, for every candidate start and every rotation within
 distance k, one occurrence: the minimal distance and, among those, the
@@ -11,9 +14,9 @@ minimal length.  It runs the packed bit-parallel kernel
 `bitparallel.RotationScreen` (one field of m pattern bits plus a guard bit
 per rotation, and a packed last-row score per field), built once per
 (x, k) by `bitparallel.rotation_screen`.  One pass over the block yields
-the distance of every (start, rotation) pair, and most blocks end there
-with no field within k.  For each start that hits, one more packed pass
-from that start finds the shortest length of every hit rotation.
+the distance of every (start, rotation) pair, and for each start that
+hits, one more packed pass from that start finds the shortest length of
+every hit rotation.
 
 `circmatch.reference.verify_block_waves` is a second engine with the same
 output, kept for cross-checks and work counts.

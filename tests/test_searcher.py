@@ -388,6 +388,57 @@ def test_search_text_shorter_than_window():
     assert got == [] and stats.windows_examined == 0
 
 
+@pytest.mark.parametrize("x, k", [(b"abcab", 0), (b"abaabb", 2), (b"abcabcbacb", 3)])
+def test_verify_all_run_boundaries(x, k):
+    # verify-all settles the whole text as one run; at each length the
+    # text is the pattern repeated with one substitution, so occurrences
+    # sit at every start, the run's last ones included
+    m, wlen = len(x), len(x) - k
+    fewer = load_mutant(searcher, "hi - lo)", "hi - lo - 1)")
+    caught = False
+    for n in sorted({wlen - 1, wlen, wlen + 1, 2 * m - 1, 2 * m, 2 * m + 1, 3 * m}):
+        t = bytearray((x * 4)[:n])
+        t[n // 3] = ord("d")
+        t = bytes(t)
+        got, stats = search(t, x, k, SearchPlan.verify_all(m, k))
+        assert got == brute_search(t, x, k)
+        if n >= wlen:
+            assert stats.chars_inspected == n
+            assert stats.windows_verified == stats.windows_examined == math.ceil((n - wlen + 1) / wlen)
+        caught |= fewer.search(t, x, k, SearchPlan.verify_all(m, k))[0] != got
+    # where m - k divides n + 1 the run's last start is n - (m - k), the last
+    # that fits an occurrence, and a copy that drops the run's last start
+    # loses it
+    assert caught
+
+
+def test_filter_runs_of_adjacent_windows():
+    # a periodic text with two planted substitutions, broken by stretches
+    # of a letter the pattern lacks: adjacent windows verify into runs, and
+    # the second run's last start holds (m - k)-letter occurrences that end
+    # where the c-stretch begins
+    a = build_alphabet("abc")
+    x, k = b"ab" * 8, 1
+    m = len(x)
+    t = b"ba" * 10 + b"bc" + b"ba" * 6 + b"b" + b"c" * 12 + b"ba" * 21 + b"a" + b"c" * 14
+    p = plan(m, k, a, epsilon=0.9)
+    assert (p.mode, p.q, p.j_grams) == ("filter", 4, 3)
+    idx = build_index(x, p.q, a)
+    got, stats = search(t, x, k, p, idx)
+    assert got == brute_search(t, x, k)
+    # isolated windows would read 2m letters each
+    assert stats.chars_inspected - p.q * stats.qgrams_read < 2 * m * stats.windows_verified
+    # a copy that drops the run's last start loses those occurrences, and so
+    # does one whose run slice stops a letter short of them.  The skip that
+    # ends a run keeps every factor within k that starts in the run inside
+    # t[lo : hi + m - k - 1], so slices ending at hi + m or at hi + m - k
+    # give the same output, and no test can tell them from hi + m + k
+    fewer = load_mutant(searcher, "hi - lo)", "hi - lo - 1)")
+    short = load_mutant(searcher, "tb[lo : hi + m + k]", "tb[lo : hi + m - k - 2]")
+    assert fewer.search(t, x, k, p, idx)[0] != got
+    assert short.search(t, x, k, p, idx)[0] != got
+
+
 def test_search_rejects_mismatched_plan():
     a = build_alphabet("abcd")
     p = plan(8, 1, a)
@@ -438,4 +489,4 @@ def test_chunked_builds_one_screen():
     rotation_screen.cache_clear()
     _, stats = search_chunked(t, x, k, SearchPlan.verify_all(len(x), k), chunks=4)
     info = rotation_screen.cache_info()
-    assert info.misses == 1 and info.hits + info.misses == stats.windows_verified > 4
+    assert info.misses == 1 and info.hits + info.misses == 4 < stats.windows_verified
