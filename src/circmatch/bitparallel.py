@@ -43,6 +43,7 @@ it one 2m-letter block.  It runs two kinds of pass:
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 from .alphabet import to_bytes
 
@@ -86,16 +87,16 @@ class RotationScreen:
         # rotations r and r + period are the same string
         self.period = next(q for q in range(1, m + 1) if xb[q:] + xb[:q] == xb)
 
-    def occurrences(self, data: bytes, starts: int) -> list[tuple[int, int, int, int]]:
-        """Every (start, length, rotation, distance) with start < `starts`
-        and distance <= k, sorted by (start, rotation): the least distance
-        between the rotation and a factor of data at that start, and the
-        shortest such factor."""
-        out = []
+    def occurrences(self, data: bytes, starts: int) -> Iterator[tuple[int, int, int, int]]:
+        """Yield every (start, length, rotation, distance) with start <
+        `starts` and distance <= k, sorted by (start, rotation): the least
+        distance between the rotation and a factor of data at that start,
+        and the shortest such factor.  Rows are yielded as the length passes
+        find them, so the caller holds the only list of them."""
         for p, dist in self.distances(data, starts):
             length = self._lengths(data[p : p + self.m + self.k], dist)
-            out.extend((p, length[r], r, d) for r, d in dist.items())
-        return out
+            for r, d in dist.items():
+                yield p, length[r], r, d
 
     def distances(self, data: bytes, starts: int) -> list[tuple[int, dict[int, int]]]:
         """(p, {rotation: distance}) for each start p < `starts` where some

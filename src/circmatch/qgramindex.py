@@ -14,10 +14,17 @@ of the free-start DP of Sellers (1980) of the gram against the whole
 doubled pattern.  The builder walks the prefix trie of all grams level by
 level, one uint8 row of 2m cells per trie node, and advances all nodes of
 a level with a few vectorized minima.
+
+The scan looks a gram up by its two halves: the first q // 2 letters map
+to their code times sigma^(q - q // 2), the rest to their code, so the
+gram's entry is entries[left + right].  A half holding a letter outside
+the alphabet is in neither table.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, AlphabetError, to_bytes
@@ -60,6 +67,17 @@ class QGramIndex:
     alphabet: Alphabet
     entries: bytes  # sigma**q values in [0, q], indexed by gram code
     digest: bytes  # pattern_digest of the pattern
+
+    @functools.cached_property
+    def halves(self) -> tuple[dict[bytes, int], dict[bytes, int]]:
+        """(left, right): the raw bytes of the first q // 2 letters of a
+        gram -> their code times sigma^(q - q // 2), and the bytes of the
+        other letters -> their code.  Built on first use, once per index."""
+        h = self.q // 2
+        return (
+            _half_codes(self.alphabet.letters, h, self.alphabet.size ** (self.q - h)),
+            _half_codes(self.alphabet.letters, self.q - h, 1),
+        )
 
     def to_bytes(self) -> bytes:
         """MAGIC, sigma, q, pattern digest, letters, entries."""
@@ -106,6 +124,12 @@ class QGramIndex:
     def load(cls, path) -> "QGramIndex":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _half_codes(letters: bytes, length: int, scale: int) -> dict[bytes, int]:
+    """Every string of `length` letters -> its big-endian code times scale;
+    product enumerates them in code order."""
+    return {bytes(g): c * scale for c, g in enumerate(itertools.product(letters, repeat=length))}
 
 
 def _grow(rows: np.ndarray, level: int, depth: int, mism: np.ndarray) -> np.ndarray:

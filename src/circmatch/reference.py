@@ -2,8 +2,8 @@
 the search path, and `import circmatch` does not load this module.
 
 * q-gram encoding: `encode_qgram`, `decode_qgram` and `enumerate_qgrams`
-  spell out the big-endian base-sigma code that `search` computes inline
-  through the alphabet's rank table.
+  spell out the big-endian base-sigma code that `search` reads off the
+  index's two half-gram tables.
 * rows: `rotate` and `dedup_occurrences` (one row per (start, rotation),
   minimal distance then minimal length).
 * edit distance: the full and banded dynamic programming matrices, and

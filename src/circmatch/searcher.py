@@ -4,21 +4,24 @@ scan loop that dispatches verifications.
 The window has length m - k.  From its right end the loop reads up to
 J = 1 + ceil(k / (c*q)) non-overlapping q-grams leftwards, summing their
 index entries, as in the backward reading of Fredriksson & Navarro (JEA
-2004).  Each entry lower-bounds the edit distance between that gram and
-anything inside any rotation, and any occurrence covering all grams read
-so far absorbs their summed differences, so once the sum exceeds k no
-occurrence can start at or before the leftmost letter read: the window
-skips one position past it.  If all J grams stay within budget the window
-is verified: its m-k starts join the run of verified starts [lo, hi) when
-the window touches it, and the window advances by its full length.  When a
-window that does not touch the run verifies, and at the end of the text,
-the run is settled by one pass of the rotation screen over
+2004).  A gram is looked up by its two halves in the index's `halves`
+tables, two dict lookups in place of a loop over its q letters.  Each
+entry lower-bounds the edit distance between that gram and anything
+inside any rotation, and any occurrence covering all grams read so far
+absorbs their summed differences, so once the sum exceeds k no occurrence
+can start at or before the leftmost letter read: the window skips one
+position past it.  If all J grams stay within budget the window is
+verified: its m-k starts join the run of verified starts [lo, hi) when
+the window touches it, and the window advances by its full length.  When
+a window that does not touch the run verifies, and at the end of the
+text, the run is settled by one pass of the rotation screen over
 t[lo : hi + m + k], which holds every factor within k of a rotation that
-starts in the run (such a factor is at most m + k letters long).  A window
-on its own gets a 2m-letter slice; in verify-all mode the whole text is one
-run and one pass.  Runs are disjoint and settled left to right, so the
-occurrences come out sorted by (start, rotation) with no pass to merge
-them.
+starts in the run (such a factor is at most m + k letters long).  A
+window on its own gets a 2m-letter slice.  Runs are disjoint and settled
+left to right, so the occurrences come out sorted by (start, rotation)
+with no pass to merge them.  Verify-all mode has no window loop: it
+settles all n - (m - k) + 1 starts as one run, one pass over the text,
+and counts its windows by arithmetic.
 
 Parameter planning picks (q, c) so the difference-rate exponent
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .alphabet import FOREIGN, Alphabet, to_bytes
+from .alphabet import Alphabet, to_bytes
 from .bitparallel import rotation_screen
 from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex, pattern_digest
 from .verifier import Occurrence
@@ -294,16 +297,6 @@ def search(
     wlen = plan.window_len
     stats = SearchStats()
     occs: list[Occurrence] = []
-    filtering = plan.mode == "filter"
-    if filtering:
-        if idx is None:
-            raise ValueError("filter mode needs a q-gram index")
-        if idx.q != plan.q:
-            raise ValueError(f"index was built with q={idx.q} but the plan has q={plan.q}")
-        if idx.digest != pattern_digest(xb):
-            raise ValueError("index was built for a different pattern")
-        q, j_grams, entries = plan.q, plan.j_grams, idx.entries
-        ranks, sigma = idx.alphabet.rank_table(), idx.alphabet.size
     screen = rotation_screen(xb, k)
 
     def settle(lo: int, hi: int) -> None:
@@ -317,39 +310,59 @@ def search(
                 for s, length, r, d in screen.occurrences(data, hi - lo)
             )
 
+    if plan.mode != "filter":
+        # every window verifies and touches the last: one run of all starts
+        starts = max(0, n - wlen + 1)
+        stats.windows_examined = stats.windows_verified = -(-starts // wlen)
+        settle(0, starts)
+        stats.occurrences_reported = len(occs)
+        return occs, stats
+
+    if idx is None:
+        raise ValueError("filter mode needs a q-gram index")
+    if idx.q != plan.q:
+        raise ValueError(f"index was built with q={idx.q} but the plan has q={plan.q}")
+    if idx.digest != pattern_digest(xb):
+        raise ValueError("index was built for a different pattern")
+    q, j_grams, entries = plan.q, plan.j_grams, idx.entries
+    # a gram g's entry is entries[left[g[:h]] + right[g[h:]]]; a half that
+    # is in neither table holds a foreign letter, and the gram adds 0
+    left, right = idx.halves
+    h = q // 2
+    rlen = q - h
+    examined = verified = grams = 0
     lo = hi = p = 0  # [lo, hi): the verified starts not yet settled
     last = n - wlen
     while p <= last:
-        stats.windows_examined += 1
-        if filtering:
-            # read grams leftwards from the window end until the summed
-            # entries exceed k or all J are read
-            wend = p + wlen
-            ssum = jj = 0
-            while ssum <= k and jj < j_grams:
-                jj += 1
-                gpos = wend - jj * q
-                code = 0
-                for r in tb[gpos : gpos + q].translate(ranks):
-                    if r == FOREIGN:
-                        break
-                    code = code * sigma + r
-                else:
-                    ssum += entries[code]
-            stats.qgrams_read += jj
-            stats.chars_inspected += jj * q
-            if ssum > k:
-                shift = wlen - jj * q + 1
-                if collect_skips:
-                    stats.skips.append((p, shift))
-                p += shift
-                continue
-        stats.windows_verified += 1
+        examined += 1
+        # read grams leftwards from the window end until the summed entries
+        # exceed k or all J are read
+        gend = p + wlen
+        ssum = jj = 0
+        while ssum <= k and jj < j_grams:
+            jj += 1
+            gmid = gend - rlen
+            try:
+                ssum += entries[left[tb[gmid - h : gmid]] + right[tb[gmid:gend]]]
+            except KeyError:
+                pass
+            gend -= q
+        grams += jj
+        if ssum > k:
+            shift = wlen - jj * q + 1
+            if collect_skips:
+                stats.skips.append((p, shift))
+            p += shift
+            continue
+        verified += 1
         if p != hi:
             settle(lo, hi)
             lo = p
         p = hi = p + wlen
     settle(lo, hi)
+    stats.windows_examined, stats.windows_verified = examined, verified
+    stats.qgrams_read = grams
+    stats.chars_inspected += q * grams
     stats.occurrences_reported = len(occs)
     return occs, stats
 

@@ -11,7 +11,7 @@ import random
 import sys
 import types
 
-from circmatch import Occurrence
+from circmatch import Occurrence, qgramindex
 from circmatch.reference import dedup_occurrences, full_edit_distance, rotate
 from circmatch.verifier import Block
 
@@ -112,6 +112,15 @@ def load_mutant(module, old: str, new: str):
     finally:
         del sys.modules[mod.__name__]
     return mod
+
+
+def count_half_tables(monkeypatch) -> list:
+    """A list that gains one item for each half-gram table built from now
+    on; an index builds two, its left and its right half."""
+    built = []
+    real = qgramindex._half_codes
+    monkeypatch.setattr(qgramindex, "_half_codes", lambda *args: built.append(args) or real(*args))
+    return built
 
 
 def letters_for(sigma: int) -> bytes:

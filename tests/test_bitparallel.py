@@ -132,7 +132,7 @@ def test_screen_matches_definition():
                     )
                     if d <= k:
                         want.append((p, length, r, d))
-            assert RotationScreen(x, k).occurrences(data, starts) == want
+            assert list(RotationScreen(x, k).occurrences(data, starts)) == want
 
 
 def test_screen_validates_inputs():

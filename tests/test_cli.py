@@ -10,7 +10,7 @@ import pytest
 
 from circmatch.bitparallel import rotation_screen
 from circmatch.cli import FastaError, ingest_fasta, main
-from helpers import plant_edited_rotation, random_string
+from helpers import count_half_tables, plant_edited_rotation, random_string
 
 
 def run_cli(argv, capsys):
@@ -156,6 +156,22 @@ def test_cli_builds_one_screen_per_run(tmp_path, capsys):
     verified = int(re.search(r"# windows_verified=(\d+)", out).group(1))
     assert code == 0, err
     assert info.misses == 1 and info.hits + info.misses == 4 < verified
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_cli_builds_half_tables_once_per_run(tmp_path, capsys, monkeypatch, cached):
+    # every record's filter scan shares the index's half tables, whether
+    # the index was built or loaded from the cache
+    fa = tmp_path / "reads.fa"
+    fa.write_text("".join(f">r{i}\n{'TTGA' * i}CGTTGCAACGTACGTA{'ACGT' * i}\n" for i in range(4)))
+    args = ["--pattern", "ACGTACGTTGCAACGT", "--text", str(fa), "-k", "1",
+            "--mode", "filter", "--stats", "--index-cache", str(tmp_path / "idx.bin")]
+    if cached:
+        assert run_cli(args, capsys)[0] == 0
+    built = count_half_tables(monkeypatch)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert len(built) == 2 and int(re.search(r"# qgrams_read=(\d+)", out).group(1)) > 0
 
 
 def test_cli_stats_block(tmp_path, capsys):

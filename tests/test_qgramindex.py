@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from circmatch import IndexBudgetError, QGramIndex, build_alphabet, build_index
 from circmatch.qgramindex import build_doubled
 from circmatch.reference import brute_force_index, encode_qgram, full_edit_distance, rotate
-from helpers import letters_for, random_string
+from helpers import count_half_tables, letters_for, random_string
 
 
 def test_doubled_examples():
@@ -209,3 +210,40 @@ def _cache_blob() -> bytes:
 def test_from_bytes_rejects_corrupt_header(blob):
     with pytest.raises(ValueError):
         QGramIndex.from_bytes(blob)
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 5, 20])
+@pytest.mark.parametrize("q", range(1, 7))
+def test_halves_split_the_reference_code(sigma, q):
+    # a gram's code is left[g[:q // 2]] + right[g[q // 2:]], so its entry is
+    # entries[left + right]; equal codes give equal entries for any index
+    letters = letters_for(sigma)
+    a = build_alphabet(letters)
+    left, right = QGramIndex(q=q, alphabet=a, entries=b"", digest=b"").halves
+    h = q // 2
+    assert len(left) == sigma**h and len(right) == sigma ** (q - h)
+    if sigma**q <= 20**4:
+        grams = itertools.product(letters, repeat=q)
+    else:
+        # 20^5 and 20^6 grams are too many to walk: every half is still
+        # checked, each left half against 3 right halves and back
+        rng = random.Random(q)
+        lefts, rights = list(left), list(right)
+        grams = [lh + rh for lh in lefts for rh in rng.sample(rights, 3)]
+        grams += [lh + rh for rh in rights for lh in rng.sample(lefts, 3)]
+    for g in map(bytes, grams):
+        assert left[g[:h]] + right[g[h:]] == encode_qgram(g, a)
+
+
+def test_halves_miss_a_foreign_letter_on_either_side():
+    a = build_alphabet("ACGT")
+    left, right = build_index(b"ACGTTGCAAC", 4, a).halves
+    assert b"AN" not in left and b"NA" not in left and b"AN" not in right
+    assert left[b"CA"] + right[b"GT"] == encode_qgram(b"CAGT", a)
+
+
+def test_halves_built_once_per_index(monkeypatch):
+    built = count_half_tables(monkeypatch)
+    idx = build_index(b"ACGTTGCAAC", 4, build_alphabet("ACGT"))
+    assert idx.halves is idx.halves and len(built) == 2
+    assert QGramIndex.from_bytes(idx.to_bytes()).halves == idx.halves and len(built) == 4

@@ -19,7 +19,14 @@ from circmatch import searcher
 from circmatch.bitparallel import rotation_screen
 from circmatch.reference import oracle_search, rotate
 from circmatch.searcher import d_exponent
-from helpers import brute_search, letters_for, load_mutant, plant_edited_rotation, random_string
+from helpers import (
+    brute_search,
+    count_half_tables,
+    letters_for,
+    load_mutant,
+    plant_edited_rotation,
+    random_string,
+)
 
 
 def test_d_exponent_value():
@@ -135,14 +142,62 @@ def test_filter_scan_foreign_letter_inside_occurrence():
     idx = build_index(x, p.q, a)
     got, _ = search(t, x, 1, p, idx)
     assert got == brute_search(t, x, 1) == [Occurrence(74, 20, 1, 1)]
-    # a copy that encodes the letters past N, as if N were absent, sums a
-    # positive entry for that gram and skips the occurrence
-    past = load_mutant(
-        searcher,
-        "if r == FOREIGN:\n                        break",
-        "if r == FOREIGN:\n                        continue",
-    )
-    assert past.search(t, x, 1, p, idx)[0] != got
+    # N costs that gram one edit, not q: a copy that charges a gram whose
+    # half lookup misses its full q sums past k and skips the occurrence
+    # (taking the half that holds N as any one code loses nothing here)
+    missed = "except KeyError:\n                pass"
+    charged = load_mutant(searcher, missed, "except KeyError:\n                ssum += q")
+    assert charged.search(t, x, 1, p, idx)[0] != got
+
+
+@pytest.mark.parametrize("gram", [b"zb", b"bz", b"bb"])
+def test_filter_scan_foreign_half_adds_zero(gram):
+    # q = 2 splits a gram into one letter a side; the window's grams are
+    # `gram` then "ab" (entry 1 against "aaaaaaaa").  A gram with z in
+    # either half adds 0, so the sum stays at k = 1 and the window verifies;
+    # "bb" adds 2 and the window skips after one gram
+    x = b"aaaaaaaa"
+    p = SearchPlan(mode="filter", m=8, k=1, epsilon=0.5, q=2, c=0.5, d=0.1, j_grams=2)
+    idx = build_index(x, 2, build_alphabet("ab"))
+    _, stats = search(b"bbbab" + gram, x, 1, p, idx, collect_skips=True)
+    if gram == b"bb":
+        assert stats.skips == [(0, 6)] and stats.qgrams_read == 1 and stats.chars_inspected == 2
+    else:
+        assert stats.skips == [] and stats.windows_verified == 1 and stats.qgrams_read == 2
+
+
+class _Misses(dict):
+    """A half table that records the keys it misses."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.missed = []
+
+    def __missing__(self, key):
+        self.missed.append(key)
+        raise KeyError(key)
+
+
+def test_filter_scan_foreign_letters_on_both_sides_of_the_split():
+    # N planted in and around edited rotations lands in the left half of
+    # some grams read and in the right half of others; filtration loses
+    # nothing either way
+    rng = random.Random(1010)
+    a = build_alphabet("dna")
+    x = random_string(rng, b"ACGT", 20)
+    p = plan(len(x), 1, a)
+    assert (p.mode, p.q) == ("filter", 4)
+    idx = build_index(x, p.q, a)
+    left, right = idx.halves
+    idx.halves = tables = (_Misses(left), _Misses(right))
+    for _ in range(6):
+        t = bytearray(random_string(rng, b"ACGT", 120))
+        plant_edited_rotation(rng, t, x, 1, b"ACGT")
+        for _ in range(3):
+            t[rng.randrange(len(t))] = ord("N")
+        t = bytes(t)
+        assert search(t, x, 1, p, idx)[0] == brute_search(t, x, 1)
+    assert all(any(b"N" in key for key in half.missed) for half in tables)
 
 
 # (letters, x, k, q, c, t): filter plans where a skip lands exactly on an
@@ -481,6 +536,18 @@ def test_chunked_equals_single():
         single, _ = search(t, x, k, p, idx)
         chunked, _ = search_chunked(t, x, k, p, idx, chunks=4)
         assert chunked == single
+
+
+def test_chunked_builds_half_tables_once(monkeypatch):
+    built = count_half_tables(monkeypatch)
+    a = build_alphabet("abc")
+    x, k = b"ab" * 8, 1
+    p = plan(len(x), k, a, epsilon=0.9)
+    assert p.mode == "filter"
+    idx = build_index(x, p.q, a)
+    t = b"ba" * 10 + b"bc" + b"ba" * 6 + b"b" + b"c" * 12 + b"ba" * 21
+    _, stats = search_chunked(t, x, k, p, idx, chunks=4)
+    assert len(built) == 2 and stats.qgrams_read > 0
 
 
 def test_chunked_builds_one_screen():
