@@ -23,6 +23,7 @@ from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_diges
 from .searcher import PlanError, SearchPlan, SearchStats, check_overrides, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
+NEEDS_NUMPY = "numpy, the optional extra circmatch[reference]"
 
 
 class FastaError(ValueError):
@@ -143,7 +144,11 @@ def run(cfg: RunConfig) -> int:
                     )
                     return 2
             # imported here: the oracle needs numpy, which searching does not
-            from .reference import oracle_search
+            try:
+                from .reference import oracle_search
+            except ModuleNotFoundError as exc:
+                print(f"error: oracle mode needs {NEEDS_NUMPY}: {exc}", file=sys.stderr)
+                return 2
         else:
             if cfg.mode == "verify-all":
                 pln = SearchPlan.verify_all(m, cfg.k, cfg.epsilon)
@@ -257,7 +262,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "bench":
         # imported here: the benchmark's generator needs numpy
-        from .bench import Experiment, format_table, run_experiment
+        try:
+            from .bench import Experiment, format_table, run_experiment
+        except ModuleNotFoundError as exc:
+            print(f"error: circmatch bench needs {NEEDS_NUMPY}: {exc}", file=sys.stderr)
+            return 2
 
         args = _bench_parser().parse_args(argv[1:])
         try:

@@ -9,11 +9,24 @@ anything inside any rotation, which is what makes discarding windows on
 summed lookups safe.
 
 A factor longer than 2q is more than q edits from a q-gram and so never
-beats the empty factor; the entry is therefore the minimum of the last row
-of the free-start DP of Sellers (1980) of the gram against the whole
-doubled pattern.  The builder walks the prefix trie of all grams level by
-level, one uint8 row of 2m cells per trie node, and advances all nodes of
-a level with a few vectorized minima.
+beats the empty factor; the entry is therefore the least score of a
+free-start Myers search (J. ACM 1999) with the gram as the pattern and the
+doubled pattern as the text, the score starting at q for the empty factor.
+The builder runs that search for all grams at once, packed as in Hyyro,
+Fredriksson & Navarro (JEA 2005), one step per letter of x + x[:-1]:
+
+  * gram code g is field g of q + 1 bits; bit i holds letter i of the gram
+    and the top bit is a guard, which stops carries and shifts at the field;
+  * 0 is shifted into hp, so an alignment may start at any letter;
+  * a second packed int keeps each field's least score so far.  With its
+    guard bits set, subtracting the scores leaves a guard bit exactly where
+    the least score is not below the new one, and that bit selects the
+    field's low bits for replacement;
+  * the entries are read out as bit planes of a binary string, one byte per
+    field, with no Python loop per gram.
+
+A pass packs at most FIELDS_PER_PASS grams: the grams sharing their first
+letters, in code order, so memory stays bounded under a large q.
 
 The scan looks a gram up by its two halves: the first q // 2 letters map
 to their code times sigma^(q - q // 2), the rest to their code, so the
@@ -34,6 +47,9 @@ OLD_MAGIC = b"CIRCIDX1"
 DIGEST_LEN = 32
 DEFAULT_MAX_ENTRIES = 1 << 26
 DEFAULT_MAX_WORK = 1 << 29
+# grams packed into one pass of the builder; its ints are at most
+# FIELDS_PER_PASS * (q + 1) bits whatever q is
+FIELDS_PER_PASS = 1 << 16
 
 
 class IndexBudgetError(MemoryError):
@@ -132,40 +148,60 @@ def _half_codes(letters: bytes, length: int, scale: int) -> dict[bytes, int]:
     return {bytes(g): c * scale for c, g in enumerate(itertools.product(letters, repeat=length))}
 
 
-def _grow(rows: np.ndarray, level: int, depth: int, mism: np.ndarray) -> np.ndarray:
-    """DP rows of the trie nodes `depth` levels below the nodes `rows` at
-    `level`; the children of node p are p*sigma .. p*sigma + sigma - 1."""
-    import numpy as np  # already loaded by build_index, the only caller
+def _repeat(v: int, period: int, count: int) -> int:
+    """`count` copies of v, `period` bits apart, by shift-and-or doublings."""
+    out = pos = 0
+    while count:
+        if count & 1:
+            out |= v << pos
+            pos += period
+        v |= v << period
+        period *= 2
+        count >>= 1
+    return out
 
-    sigma, w = len(mism), rows.shape[1]
-    for i in range(level + 1, level + depth + 1):
-        nxt = np.empty((len(rows), sigma, w), dtype=np.uint8)
-        nxt[..., 0] = i
-        np.minimum(rows[:, None, :-1] + mism, rows[:, None, 1:] + np.uint8(1), out=nxt[..., 1:])
-        # min(D[j], D[j-1] + 1): cells are at most i, so chains shorter
-        # than i suffice, and shifts 1, 2, 4, ... compose them
-        s = 1
-        while s < i:
-            np.minimum(nxt[..., s:], nxt[..., :-s] + np.uint8(s), out=nxt[..., s:])
-            s *= 2
-        rows = nxt.reshape(-1, w)
-    return rows
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary string's digits as bytes 0 and 1
+
+
+def _least_scores(xp: bytes, peq: list[int], ones: int, q: int, fields: int) -> bytes:
+    """One free-start Myers pass over xp with a gram in each field: the
+    least score of every field, one byte per field."""
+    w = q + 1
+    mask = ones * ((1 << q) - 1)
+    high, guard, shift = ones << (q - 1), ones << q, q - 1
+    vp, vn = mask, 0
+    score = ones * q  # the empty factor
+    best = score | guard  # the least scores so far, guard bits kept set
+    for ch in xp:
+        x = peq[ch] | vn
+        d0 = ((((x & vp) + vp) & mask) ^ vp) | x
+        hp = vn | ((d0 | vp) ^ mask)
+        hn = vp & d0
+        score += ((hp & high) - (hn & high)) >> shift
+        hps = hp << 1  # 0 shifted in: an alignment may start anywhere
+        vn = hps & d0
+        vp = ((hn << 1) | ((d0 | hps) ^ mask)) & mask
+        # a field keeps its guard bit where best >= score, and then takes
+        # the score through the low bits g - (g >> q)
+        g = (best - score) & guard
+        best ^= (best ^ score) & (g - (g >> q))
+    # bit b of field f is bits[f * w + b]; the entries are at most q, so the
+    # planes up to q.bit_length() add up to one byte per field
+    bits = format(best ^ guard, f"0{fields * w}b").encode().translate(_BITS)[::-1]
+    total = 0
+    for b in range(q.bit_length()):
+        total += int.from_bytes(bits[b::w], "little") << b
+    return total.to_bytes(fields, "little")
 
 
 def build_index(
-    x: str | bytes,
-    q: int,
-    a: Alphabet,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    max_chunk_bytes: int = 48 << 20,
+    x: str | bytes, q: int, a: Alphabet, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> QGramIndex:
     """Index of minimum distances from every q-gram to the factors of the
     doubled pattern.
 
-    Requires 1 <= q < len(x) and sigma^q within the entry budget.  When the
-    rows of the last trie level would exceed `max_chunk_bytes`, the top
-    levels are built once and the subtree below each node of the shallowest
-    depth that fits is finished in turn.
+    Requires 1 <= q < len(x) and sigma^q within the entry budget.
     """
     xb = to_bytes(x)
     m = len(xb)
@@ -180,19 +216,29 @@ def build_index(
             f"{sigma}^{q} = {total} index entries exceed the budget of {max_entries}",
             required=total,
         )
-    # imported here: numpy takes about 0.1 s to load, which runs that
-    # never build an index should not pay
-    import numpy as np
-
-    xp = np.frombuffer(build_doubled(xb), dtype=np.uint8)
-    mism = (xp != np.frombuffer(a.letters, dtype=np.uint8)[:, None]).view(np.uint8)
-    row_bytes = 2 * (2 * m)  # a row of 2m cells and its share of one temporary
-    depth = 0
-    while depth < q and sigma ** (q - depth) * row_bytes > max_chunk_bytes:
-        depth += 1
-    # row 0 is all zero: an alignment may start anywhere in the pattern
-    tops = _grow(np.zeros((1, 2 * m), dtype=np.uint8), 0, depth, mism)
-    entries = np.concatenate(
-        [_grow(top[None], depth, q - depth, mism).min(axis=1) for top in tops]
-    ).tobytes()
-    return QGramIndex(q=q, alphabet=a, entries=entries, digest=pattern_digest(xb))
+    xp = build_doubled(xb)
+    # a pass packs the sigma^j grams that share their first q - j letters
+    j = 0
+    while j < q and sigma ** (j + 1) <= FIELDS_PER_PASS:
+        j += 1
+    fields, lead, w = sigma**j, q - j, q + 1
+    ones = _repeat(1, w, fields)  # bit 0 of every field
+    # tail[ch]: bit i of every field whose letter i (i >= lead) is ch.  Letter
+    # i stays the same over runs of sigma^(q-1-i) fields; `first` marks the
+    # runs of the alphabet's first letter, and those of the d-th start d
+    # runs later
+    tail = dict.fromkeys(a.letters, 0)
+    for i in range(lead, q):
+        run = sigma ** (q - 1 - i)
+        first = _repeat(_repeat(1 << i, w, run), sigma * run * w, sigma ** (i - lead))
+        for d, ch in enumerate(a.letters):
+            tail[ch] |= first << (d * run * w)
+    parts = []
+    for prefix in itertools.product(a.letters, repeat=lead):
+        peq = [0] * 256  # a letter outside the alphabet matches no gram
+        for ch, bits in tail.items():
+            peq[ch] = bits
+        for i, ch in enumerate(prefix):
+            peq[ch] |= ones << i
+        parts.append(_least_scores(xp, peq, ones, q, fields))
+    return QGramIndex(q=q, alphabet=a, entries=b"".join(parts), digest=pattern_digest(xb))

@@ -126,8 +126,8 @@ def _q_caps(m: int, sigma: int, max_entries: int, max_work: int) -> int:
     """Largest q whose index fits both the entry and the build-work budget.
 
     The work term is a planning bound kept unchanged on purpose: it models
-    an older window-matrix builder and overstates the cost of the trie
-    build, but changing it would move plans, and with them q and every scan
+    an older window-matrix builder, not the packed build of `build_index`,
+    but changing it would move plans, and with them q and every scan
     counter.  Recalibrating it belongs to choosing plans by cost.
     """
     q = 0
@@ -297,12 +297,15 @@ def search(
     wlen = plan.window_len
     stats = SearchStats()
     occs: list[Occurrence] = []
-    screen = rotation_screen(xb, k)
+    screen = None  # looked up at the first run: a search may verify nothing
 
     def settle(lo: int, hi: int) -> None:
         # one pass over the run of starts [lo, hi) and the m + k letters
         # past it, as far as a factor within k of a rotation reaches
+        nonlocal screen
         if lo < hi:
+            if screen is None:
+                screen = rotation_screen(xb, k)
             data = tb[lo : hi + m + k]
             stats.chars_inspected += len(data)
             occs.extend(

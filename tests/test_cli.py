@@ -10,13 +10,22 @@ import pytest
 
 from circmatch.bitparallel import rotation_screen
 from circmatch.cli import FastaError, ingest_fasta, main
-from helpers import count_half_tables, plant_edited_rotation, random_string
+from helpers import brute_search, count_half_tables, plant_edited_rotation, random_string
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(script: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports circmatch from src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        **kwargs,
+    )
 
 
 def test_ingest_fasta_concatenates_lines():
@@ -351,27 +360,77 @@ def test_cli_oracle_mode_desk_scale_guard(tmp_path, capsys):
 
 
 def test_search_path_loads_no_numpy_reference_or_bench(tmp_path):
-    # numpy is for building an index, the oracle and the benchmark only;
-    # a fresh interpreter that searches in verify-all mode never loads it
+    # numpy is for the oracle and the benchmark only; a fresh interpreter
+    # that searches in verify-all mode, or in filter mode with an index it
+    # builds and saves and then loads, never loads it
     text = tmp_path / "t.fa"
     text.write_text(">r1\nTTACGTACGTTGCATT\n>r2\nGGTTGCAACGTACGGG\n")
+    cache = tmp_path / "idx.bin"
     script = f"""
-import sys
+import contextlib, io, os, sys
 import circmatch
 from circmatch import SearchPlan, search
 from circmatch import cli
 occs, _ = search(b"TTACGTACGTTGCATT", b"ACGTACGTTGCA", 1, SearchPlan.verify_all(12, 1))
 assert occs
-code = cli.main(["--pattern", "ACGTACGTTGCA", "--text", {str(text)!r}, "-k", "1",
-                 "--mode", "verify-all"])
-assert code == 0, code
+
+def run(*extra):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--pattern", "ACGTACGTTGCA", "--text", {str(text)!r}, "-k", "1", *extra])
+    assert code == 0, code
+    return out.getvalue()
+
+rows = run("--mode", "verify-all")
+for step in ("build", "load"):
+    assert os.path.exists({str(cache)!r}) == (step == "load"), step
+    assert run("--mode", "filter", "--epsilon", "0.8", "--index-cache", {str(cache)!r}) == rows
+sys.stdout.write(rows)
 loaded = [n for n in ("numpy", "circmatch.reference", "circmatch.bench") if n in sys.modules]
 assert not loaded, loaded
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("r1\t")
+
+
+def test_filter_search_runs_without_numpy():
+    # with numpy made unimportable, a filter search builds its index and
+    # returns what brute force returns
+    rng = random.Random(21)
+    x, k = random_string(rng, b"ACGT", 16), 2
+    t = bytearray(random_string(rng, b"ACGT", 300))
+    for _ in range(3):
+        plant_edited_rotation(rng, t, x, k, b"ACGT")
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from circmatch import build_alphabet, build_index, plan, search
+a = build_alphabet("ACGT")
+p = plan(16, {k}, a, epsilon=0.8)
+assert p.mode == "filter", p
+occs, _ = search({bytes(t)!r}, {x!r}, {k}, p, build_index({x!r}, p.q, a))
+print([tuple(o) for o in occs])
+"""
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    want = brute_search(bytes(t), x, k)
+    assert want and proc.stdout == f"{[tuple(o) for o in want]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pattern", "ACGTACGTTGCA", "--text", "-", "-k", "1", "--mode", "oracle"],
+    ["bench", "--sigma", "4", "--n", "200", "--pairs", "16:1"],
+])
+def test_numpy_modes_without_numpy_exit_2(argv):
+    # the oracle and the benchmark need numpy, which is optional: without it
+    # they stop with one line and exit 2
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from circmatch.cli import main
+sys.exit(main({argv!r}))
+"""
+    proc = run_python(script, input=">r1\nTTACGTACGTTGCATT\n")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "needs numpy" in proc.stderr

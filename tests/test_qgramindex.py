@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circmatch import IndexBudgetError, QGramIndex, build_alphabet, build_index
+from circmatch import IndexBudgetError, QGramIndex, build_alphabet, build_index, qgramindex
 from circmatch.qgramindex import build_doubled
 from circmatch.reference import brute_force_index, encode_qgram, full_edit_distance, rotate
-from helpers import count_half_tables, letters_for, random_string
+from helpers import count_half_tables, letters_for, load_mutant, random_string
 
 
 def test_doubled_examples():
@@ -110,18 +110,50 @@ def index_cases(draw):
 @example((b"ab", b"baabbbaabb", 8))  # needs two pattern letters skipped in a row
 def test_build_matches_brute_force_property(case):
     # brute_force_index scores every factor with full_edit_distance, so it
-    # shares no kernel with the trie builder
+    # shares no kernel with the packed builder
     letters, x, q = case
     a = build_alphabet(letters)
     assert build_index(x, q, a) == brute_force_index(x, q, a)
 
 
-@pytest.mark.parametrize("max_chunk_bytes", [1, 1 << 10, 1 << 14, 1 << 18])
-def test_chunked_build_matches_default(max_chunk_bytes):
+@pytest.mark.parametrize("letters_per_pass", [1, 2])
+def test_split_build_matches_default(monkeypatch, letters_per_pass):
+    # with sigma or sigma^2 grams a pass, q = 6 takes 4^5 or 4^4 passes, each
+    # for the grams of one prefix; q = 3 is small enough for brute force
     rng = random.Random(64)
     a = build_alphabet("ACGT")
     x = random_string(rng, b"ACGT", 64)
-    assert build_index(x, 6, a, max_chunk_bytes=max_chunk_bytes) == build_index(x, 6, a)
+    whole = build_index(x, 6, a), build_index(x[:20], 3, a)
+    monkeypatch.setattr(qgramindex, "FIELDS_PER_PASS", a.size**letters_per_pass)
+    assert (build_index(x, 6, a), build_index(x[:20], 3, a)) == whole
+    assert whole[1] == brute_force_index(x[:20], 3, a)
+
+
+# sha256 of `entries` for seeded DNA patterns, from the vectorized trie
+# builder this one replaced; q = 9 splits into four passes
+ENTRY_DIGESTS = [
+    (7, 48, 7, "5d9c58c03915b2dc5a78ffca029828191f0725e834ddeaddd2fa9f92e667e84f"),
+    (8, 64, 8, "7a7d8969b091d9f8e72a06e686c004b20c957dd9bcffc5a4702d7c6de37f4995"),
+    (9, 40, 9, "79157f11c2b12af2d1d1d89296771b6c6383fdfe00f8b38c4390fc50d6e1a664"),
+]
+
+
+@pytest.mark.parametrize("seed, m, q, digest", ENTRY_DIGESTS)
+def test_entries_match_pinned_digest(seed, m, q, digest):
+    x = random_string(random.Random(seed), b"ACGT", m)
+    assert hashlib.sha256(build_index(x, q, build_alphabet("ACGT")).entries).hexdigest() == digest
+
+
+def test_global_start_mutant_fails():
+    # shifting a 1 into hp anchors every alignment at the pattern's first
+    # letter, so grams that only match later factors score too high
+    mutant = load_mutant(qgramindex, "hps = hp << 1", "hps = (hp << 1) | ones")
+    a = build_alphabet("ACGT")
+    x = random_string(random.Random(8), b"ACGT", 32)
+    assert mutant.build_index(x, 3, a) != brute_force_index(x, 3, a)
+    seed, m, q, digest = ENTRY_DIGESTS[0]
+    x = random_string(random.Random(seed), b"ACGT", m)
+    assert hashlib.sha256(mutant.build_index(x, q, a).entries).hexdigest() != digest
 
 
 def test_entries_bounded_by_q():

@@ -557,3 +557,18 @@ def test_chunked_builds_one_screen():
     _, stats = search_chunked(t, x, k, SearchPlan.verify_all(len(x), k), chunks=4)
     info = rotation_screen.cache_info()
     assert info.misses == 1 and info.hits + info.misses == 4 < stats.windows_verified
+
+
+def test_filter_search_that_verifies_nothing_builds_no_screen():
+    # the screen is looked up at the first run of verified windows; a text
+    # of one letter the pattern lacks verifies no window
+    a = build_alphabet("ACGT")
+    x, k = random_string(random.Random(12), b"ACG", 32), 1
+    p = plan(len(x), k, a)
+    assert p.mode == "filter"
+    idx = build_index(x, p.q, a)
+    rotation_screen.cache_clear()
+    occs, stats = search(b"T" * 500, x, k, p, idx)
+    info = rotation_screen.cache_info()
+    assert occs == [] and stats.windows_examined > 0 and stats.windows_verified == 0
+    assert info.hits == 0 and info.misses == 0
