@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
 class AlphabetError(ValueError):
     pass
 
@@ -19,29 +16,40 @@ def to_bytes(s: str | bytes | bytearray) -> bytes:
 FOREIGN = 0xFF  # rank of a letter outside the alphabet in rank_table()
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered set of distinct byte values with ranks assigned in order.
 
-    Immutable once constructed; safe to share between threads.
+    Immutable once constructed; safe to share between threads.  Alphabets
+    with the same letters in the same order are equal and hash alike.
     """
 
-    letters: bytes
-    _ranks: bytes = field(repr=False, compare=False, default=b"")
-
-    def __post_init__(self):
-        if len(self.letters) == 0:
+    def __init__(self, letters: bytes):
+        if len(letters) == 0:
             raise AlphabetError("alphabet must not be empty")
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise AlphabetError("duplicate letter in alphabet")
-        if len(self.letters) < 2:
+        if len(letters) < 2:
             raise AlphabetError("alphabet needs at least two letters")
-        if len(self.letters) > 255:
+        if len(letters) > 255:
             raise AlphabetError("alphabets larger than 255 letters are not supported")
         table = bytearray([FOREIGN]) * 256
-        for r, ch in enumerate(self.letters):
+        for r, ch in enumerate(letters):
             table[ch] = r
-        object.__setattr__(self, "_ranks", bytes(table))
+        self.__dict__.update(letters=letters, _ranks=bytes(table))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Alphabet is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(letters={self.letters!r})"
 
     @property
     def size(self) -> int:

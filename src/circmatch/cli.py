@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .alphabet import AlphabetError, build_alphabet, to_bytes
@@ -52,28 +51,60 @@ def ingest_fasta(stream) -> list[tuple[str, bytes]]:
     return [(name, bytes(seq)) for name, seq in records]
 
 
-@dataclass
 class RunConfig:
-    pattern: bytes
-    text_records: list  # [(name, bytes)]
-    k: int
-    alphabet_spec: str = "auto"
-    q: int | None = None
-    c: float | None = None
-    epsilon: float = 0.5
-    mode: str = "auto"  # auto | filter | verify-all | oracle
-    stats: bool = False
-    index_cache: str | None = None
-    header: bool = False
-    strict: bool = False
-    fold_case: bool = False
-    out: object = None
+    """One search run.  `text_records` is [(name, bytes)], `alphabet_spec`
+    is "dna", "auto" or the letters as bytes (see `parse_alphabet`), and
+    `mode` is auto, filter, verify-all or oracle."""
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(
+        self,
+        pattern: bytes,
+        text_records: list,
+        k: int,
+        alphabet_spec: str | bytes = "auto",
+        q: int | None = None,
+        c: float | None = None,
+        epsilon: float = 0.5,
+        mode: str = "auto",
+        stats: bool = False,
+        index_cache: str | None = None,
+        header: bool = False,
+        strict: bool = False,
+        fold_case: bool = False,
+        out=None,
+    ):
+        if k < 0:
             raise ValueError("k must be non-negative")
-        if self.out is None:
-            self.out = sys.stdout
+        self.pattern = pattern
+        self.text_records = text_records
+        self.k = k
+        self.alphabet_spec = alphabet_spec
+        self.q = q
+        self.c = c
+        self.epsilon = epsilon
+        self.mode = mode
+        self.stats = stats
+        self.index_cache = index_cache
+        self.header = header
+        self.strict = strict
+        self.fold_case = fold_case
+        self.out = sys.stdout if out is None else out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+def parse_alphabet(arg: str) -> str | bytes:
+    """The `--alphabet` argument as a `build_alphabet` spec: "dna" or
+    "auto" in any case, or the letters of letters:STR as bytes, which
+    `build_alphabet` always takes as a letter list."""
+    if arg.lower() in ("dna", "auto"):
+        return arg.lower()
+    if arg.startswith("letters:"):
+        return to_bytes(arg[len("letters:") :])
+    raise ValueError(f"unknown alphabet {arg!r}; use dna, auto or letters:STR")
 
 
 def _load_cached_index(cfg, alphabet, pattern):
@@ -229,7 +260,7 @@ def _search_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alphabet",
         default="auto",
-        help="dna, auto, or letters:STR for an explicit ordered letter list",
+        help="dna or auto (in any case), or letters:STR for an explicit ordered letter list",
     )
     p.add_argument("--q", type=int, default=None, help="override the q-gram length")
     p.add_argument("--c", type=float, default=None, help="override the difference-rate parameter")
@@ -292,14 +323,11 @@ def main(argv=None) -> int:
                 raw = raw[:-1]
             pattern = raw
         records = _records_from_bytes(_read_text_source(args.text))
-        spec = args.alphabet
-        if spec.startswith("letters:"):
-            spec = spec[len("letters:") :]
         cfg = RunConfig(
             pattern=pattern,
             text_records=records,
             k=args.k,
-            alphabet_spec=spec,
+            alphabet_spec=parse_alphabet(args.alphabet),
             q=args.q,
             c=args.c,
             epsilon=args.epsilon,

@@ -8,12 +8,29 @@ exceed q.  M[code] then lower-bounds the distance between that gram and
 anything inside any rotation, which is what makes discarding windows on
 summed lookups safe.
 
-A factor longer than 2q is more than q edits from a q-gram and so never
-beats the empty factor; the entry is therefore the least score of a
-free-start Myers search (J. ACM 1999) with the gram as the pattern and the
-doubled pattern as the text, the score starting at q for the empty factor.
+The entry is the least score of a free-start Myers search (J. ACM 1999)
+with the gram g as the pattern, the score starting at q for the empty
+factor.  Its text need not be all 2m - 1 letters of x + x[:-1].  Take a
+shortest factor f at the least distance d < q and an optimal alignment of
+g with f.  Neither end letter of f is inserted, since dropping it would
+cost one less, so each letter of f is aligned to a gram letter or
+inserted between two.  Cut the alignment just before gram letter j
+(0 < j < q): deleting g[:j] and keeping the rest aligns g with a shorter
+factor, or with f itself if the front part holds no letter of f, at cost
+j + d - c, where c is the cost of the front part; so c < j or the front
+part is only deletions, and either way it holds fewer than j inserted
+letters.  Likewise the part after gram letter q - 1 - j.  With j = 1 in
+front and j = q - 2 at the back (q >= 3) the two parts cover every gap
+between gram letters, so at most q - 3 letters of f are inserted (none
+for q <= 2), and |f| <= L = max(q, 2q - 3).  A factor of x + x[:-1] that
+short which starts in its second copy of x also occurs in x, so every one
+occurs in x + x[:min(m, L) - 1], and the pass reads m + min(m, L) - 1
+letters instead of 2m - 1.  The bound is tight: one letter fewer loses
+the factor x[m-1] + x[:L-1], which can be the only one at the least
+distance (tests/test_qgramindex.py has a case for q = 2, 3 and 4).
+
 The builder runs that search for all grams at once, packed as in Hyyro,
-Fredriksson & Navarro (JEA 2005), one step per letter of x + x[:-1]:
+Fredriksson & Navarro (JEA 2005), one step per letter of the text:
 
   * gram code g is field g of q + 1 bits; bit i holds letter i of the gram
     and the top bit is a guard, which stops carries and shifts at the field;
@@ -38,9 +55,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import sys
 
 from .alphabet import Alphabet, AlphabetError, to_bytes
+
+# the builtin SHA-256: hashlib would load OpenSSL, about 3.5 MB resident,
+# for the digest of one short pattern.  The version picks the module, as a
+# failed import searches the whole path.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without the builtin hashes
+    from hashlib import sha256
 
 MAGIC = b"CIRCIDX2"
 OLD_MAGIC = b"CIRCIDX1"
@@ -60,29 +88,34 @@ class IndexBudgetError(MemoryError):
         self.required = required
 
 
-def build_doubled(x: str | bytes) -> bytes:
-    """x concatenated with x[:-1]; every rotation of x occurs inside it."""
-    xb = to_bytes(x)
-    if len(xb) < 1:
-        raise ValueError("pattern must be non-empty")
-    return xb + xb[:-1]
-
-
 def pattern_digest(x: str | bytes) -> bytes:
     """SHA-256 of the pattern an index was built from."""
-    # imported here: hashlib loads OpenSSL, about 3.5 MB resident, which
-    # runs that never build or load an index should not pay
-    import hashlib
-
-    return hashlib.sha256(to_bytes(x)).digest()
+    return sha256(to_bytes(x)).digest()
 
 
-@dataclass
 class QGramIndex:
-    q: int
-    alphabet: Alphabet
-    entries: bytes  # sigma**q values in [0, q], indexed by gram code
-    digest: bytes  # pattern_digest of the pattern
+    """`entries` holds sigma**q values in [0, q], indexed by gram code, and
+    `digest` is the pattern_digest of the pattern."""
+
+    def __init__(self, q: int, alphabet: Alphabet, entries: bytes, digest: bytes):
+        self.q = q
+        self.alphabet = alphabet
+        self.entries = entries
+        self.digest = digest
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # not vars(): it holds `halves` once they are built
+        return (self.q, self.alphabet, self.entries, self.digest) == (
+            other.q, other.alphabet, other.entries, other.digest
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"QGramIndex(q={self.q}, alphabet={self.alphabet!r}, "
+            f"entries=<{len(self.entries)} bytes>, digest={self.digest.hex()})"
+        )
 
     @functools.cached_property
     def halves(self) -> tuple[dict[bytes, int], dict[bytes, int]]:
@@ -199,7 +232,8 @@ def build_index(
     x: str | bytes, q: int, a: Alphabet, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> QGramIndex:
     """Index of minimum distances from every q-gram to the factors of the
-    doubled pattern.
+    doubled pattern, by one packed pass over m + min(m, max(q, 2q - 3)) - 1
+    letters.
 
     Requires 1 <= q < len(x) and sigma^q within the entry budget.
     """
@@ -216,7 +250,9 @@ def build_index(
             f"{sigma}^{q} = {total} index entries exceed the budget of {max_entries}",
             required=total,
         )
-    xp = build_doubled(xb)
+    # x and its first min(m, L) - 1 letters again hold every factor that
+    # can attain an entry, with L = max(q, 2q - 3) (module docstring)
+    xp = xb + xb[: min(m, max(q, 2 * q - 3)) - 1]
     # a pass packs the sigma^j grams that share their first q - j letters
     j = 0
     while j < q and sigma ** (j + 1) <= FIELDS_PER_PASS:

@@ -12,7 +12,8 @@ the search path, and `import circmatch` does not load this module.
   driving the waves over a block with a work count.
 * `min_prefix_distances` and `oracle_search`: a vectorized banded pass
   over every start and rotation, sharing no kernel with the search.
-* `brute_force_index`: the q-gram index by exhaustive enumeration.
+* `build_doubled` and `brute_force_index`: the doubled pattern x + x[:-1],
+  and the q-gram index by exhaustive enumeration of its factors.
 
 The wave representation keeps, for every value h in [0, k] and every
 diagonal d = j - i in [-k, k], the lowest cell (i, j) of the matrix whose
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import FOREIGN, Alphabet, AlphabetError, to_bytes
-from .qgramindex import QGramIndex, build_doubled, pattern_digest
+from .qgramindex import QGramIndex, pattern_digest
 from .verifier import Block, Occurrence
 
 
@@ -470,6 +471,14 @@ def oracle_search(t: str | bytes, x: str | bytes, k: int) -> list[Occurrence]:
     ]
 
 
+def build_doubled(x: str | bytes) -> bytes:
+    """x concatenated with x[:-1]; every rotation of x occurs inside it."""
+    xb = to_bytes(x)
+    if len(xb) < 1:
+        raise ValueError("pattern must be non-empty")
+    return xb + xb[:-1]
+
+
 def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
     """Reference index by exhaustive enumeration: for every gram, the full
     DP distance to every factor of the doubled pattern of length 0..2q.
@@ -483,20 +492,15 @@ def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
     if a.size**q > 4096 or m > 32:
         raise ValueError("brute-force index is limited to sigma^q <= 4096, m <= 32")
     xp = build_doubled(xb)
-    factors = {b""}
-    for i in range(len(xp)):
-        for length in range(1, 2 * q + 1):
-            if i + length <= len(xp):
-                factors.add(xp[i : i + length])
-    factors = sorted(factors)
+    # the last row of the matrix against xp[i : i + 2q] holds the distance
+    # to each of its prefixes, the factors of length 0..2q that start at i
+    heads = sorted({xp[i : i + 2 * q] for i in range(len(xp))})
     entries = bytearray(a.size**q)
     for gram in enumerate_qgrams(a, q):
         best = q  # the empty factor
-        for v in factors:
-            d = full_edit_distance(gram, v).distance
-            if d < best:
-                best = d
-                if best == 0:
-                    break
+        for v in heads:
+            best = min(best, *full_edit_distance(gram, v).last_row())
+            if best == 0:
+                break
         entries[encode_qgram(gram, a)] = best
     return QGramIndex(q=q, alphabet=a, entries=bytes(entries), digest=pattern_digest(xb))

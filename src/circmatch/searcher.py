@@ -40,7 +40,7 @@ reads each letter once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .alphabet import Alphabet, to_bytes
 from .bitparallel import rotation_screen
@@ -52,8 +52,7 @@ class PlanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchPlan:
+class SearchPlan(NamedTuple):
     mode: str  # "filter" or "verify-all"
     m: int
     k: int
@@ -73,18 +72,34 @@ class SearchPlan:
         return cls(mode="verify-all", m=m, k=k, epsilon=epsilon)
 
 
-@dataclass
 class SearchStats:
     """Deterministic counters of one search.  `chars_inspected` is the
     letters read by the filter (q per gram read) plus the letters of every
     run slice the screen settled, so it is n in verify-all mode."""
 
-    windows_examined: int = 0
-    windows_verified: int = 0
-    qgrams_read: int = 0
-    chars_inspected: int = 0
-    occurrences_reported: int = 0
-    skips: list = field(default_factory=list)  # (position, shift), test mode only
+    def __init__(
+        self,
+        windows_examined: int = 0,
+        windows_verified: int = 0,
+        qgrams_read: int = 0,
+        chars_inspected: int = 0,
+        occurrences_reported: int = 0,
+        skips: list | None = None,
+    ):
+        self.windows_examined = windows_examined
+        self.windows_verified = windows_verified
+        self.qgrams_read = qgrams_read
+        self.chars_inspected = chars_inspected
+        self.occurrences_reported = occurrences_reported
+        self.skips = [] if skips is None else skips  # (position, shift), test mode only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"SearchStats({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def d_exponent(c: float, sigma: int) -> float:

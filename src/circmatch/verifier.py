@@ -24,26 +24,38 @@ output, kept for cross-checks and work counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .alphabet import to_bytes
 from .bitparallel import rotation_screen
 
 
-@dataclass(frozen=True)
 class Block:
-    """A stretch of text starting at absolute position text_offset."""
+    """A stretch of text starting at absolute position text_offset.
+    Immutable; blocks with equal offsets and letters are equal and hash
+    alike."""
 
-    text_offset: int
-    data: bytes
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", to_bytes(self.data))
-        if len(self.data) < 1:
+    def __init__(self, text_offset: int, data: bytes):
+        data = to_bytes(data)
+        if len(data) < 1:
             raise ValueError("block must contain at least one letter")
-        if self.text_offset < 0:
+        if text_offset < 0:
             raise ValueError("negative block offset")
+        self.__dict__.update(text_offset=text_offset, data=data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Block is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.text_offset, self.data) == (other.text_offset, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.text_offset, self.data))
+
+    def __repr__(self) -> str:
+        return f"Block(text_offset={self.text_offset!r}, data={self.data!r})"
 
 
 class Occurrence(NamedTuple):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import inspect
 import random
-import sys
 import types
 
 from circmatch import Occurrence, qgramindex
@@ -106,11 +105,7 @@ def load_mutant(module, old: str, new: str):
     assert src.count(old) == 1
     mod = types.ModuleType(module.__name__ + "_mutant")
     mod.__package__ = module.__package__
-    sys.modules[mod.__name__] = mod  # dataclasses look the module up
-    try:
-        exec(compile(src.replace(old, new), "<mutant>", "exec"), mod.__dict__)
-    finally:
-        del sys.modules[mod.__name__]
+    exec(compile(src.replace(old, new), "<mutant>", "exec"), mod.__dict__)
     return mod
 
 

@@ -254,6 +254,47 @@ def test_cli_fold_case_filter_matches_oracle(tmp_path, capsys):
     assert code == 0 and oracle and auto == oracle
 
 
+def test_cli_alphabet_presets_in_any_case(tmp_path, capsys):
+    # dna and auto are read in any case; every spelling gives the rows of
+    # brute force
+    rng = random.Random(13)
+    x = random_string(rng, b"ACGT", 16)
+    t = bytearray(random_string(rng, b"ACGT", 150))
+    plant_edited_rotation(rng, t, x, 1, b"ACGT")
+    text = tmp_path / "t.txt"
+    text.write_bytes(bytes(t))
+    want = "".join(f"text\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n"
+                   for o in brute_search(bytes(t), x, 1))
+    assert want
+    for spec in ("dna", "DNA", "Dna", "auto", "AUTO", "letters:ACGT"):
+        code, out, err = run_cli(
+            ["--pattern", x.decode(), "--text", str(text), "-k", "1", "--alphabet", spec], capsys
+        )
+        assert (code, out, err) == (0, want, ""), spec
+
+
+def test_cli_alphabet_letters_are_never_a_preset(tmp_path, capsys):
+    # letters:dna is the letter list d, n, a, not the preset ACGT
+    text = tmp_path / "t.txt"
+    text.write_text("nnadnadnannn")
+    code, out, err = run_cli(
+        ["--pattern", "dnadna", "--text", str(text), "--alphabet", "letters:dna", "--strict"],
+        capsys,
+    )
+    assert code == 0 and err == "" and "text\t3\t6\t0\t0\n" in out
+
+
+@pytest.mark.parametrize("spec", ["rna", "RNA", "ACGT", "letters", ""])
+def test_cli_unknown_alphabet_exits_2(tmp_path, capsys, spec):
+    text = tmp_path / "t.txt"
+    text.write_text("ACGTACGT")
+    code, out, err = run_cli(
+        ["--pattern", "ACGT", "--text", str(text), "--alphabet", spec], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown alphabet {spec!r}; use dna, auto or letters:STR\n"
+
+
 def _cache_args(tmp_path, pattern):
     text = tmp_path / "t.txt"
     text.write_text("ACGTTGCAACGTACGTACGTTGCA" * 8)
@@ -362,7 +403,8 @@ def test_cli_oracle_mode_desk_scale_guard(tmp_path, capsys):
 def test_search_path_loads_no_numpy_reference_or_bench(tmp_path):
     # numpy is for the oracle and the benchmark only; a fresh interpreter
     # that searches in verify-all mode, or in filter mode with an index it
-    # builds and saves and then loads, never loads it
+    # builds and saves and then loads, never loads it, nor dataclasses and
+    # inspect (about 10 ms of import), nor hashlib and OpenSSL (about 3.5 MB)
     text = tmp_path / "t.fa"
     text.write_text(">r1\nTTACGTACGTTGCATT\n>r2\nGGTTGCAACGTACGGG\n")
     cache = tmp_path / "idx.bin"
@@ -386,7 +428,8 @@ for step in ("build", "load"):
     assert os.path.exists({str(cache)!r}) == (step == "load"), step
     assert run("--mode", "filter", "--epsilon", "0.8", "--index-cache", {str(cache)!r}) == rows
 sys.stdout.write(rows)
-loaded = [n for n in ("numpy", "circmatch.reference", "circmatch.bench") if n in sys.modules]
+unwanted = ("numpy", "circmatch.reference", "circmatch.bench", "dataclasses", "inspect", "hashlib", "_hashlib")
+loaded = [n for n in unwanted if n in sys.modules]
 assert not loaded, loaded
 """
     proc = run_python(script)

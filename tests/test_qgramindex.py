@@ -1,14 +1,20 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circmatch import IndexBudgetError, QGramIndex, build_alphabet, build_index, qgramindex
-from circmatch.qgramindex import build_doubled
-from circmatch.reference import brute_force_index, encode_qgram, full_edit_distance, rotate
+from circmatch.reference import (
+    brute_force_index,
+    build_doubled,
+    encode_qgram,
+    full_edit_distance,
+    rotate,
+)
 from helpers import count_half_tables, letters_for, load_mutant, random_string
 
 
@@ -156,6 +162,34 @@ def test_global_start_mutant_fails():
     assert hashlib.sha256(mutant.build_index(x, q, a).entries).hexdigest() != digest
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_build_matches_brute_force_every_binary_pattern(m):
+    # brute_force_index reads all 2m - 1 letters of x + x[:-1], the builder
+    # only m + min(m, max(q, 2q - 3)) - 1 of them
+    a = build_alphabet("ab")
+    for x in map(bytes, itertools.product(b"ab", repeat=m)):
+        for q in range(1, m):
+            assert build_index(x, q, a) == brute_force_index(x, q, a), (x, q)
+
+
+# (letters, pattern, q) where one letter less text than the builder reads
+# changes an entry, the first found in an exhaustive search over binary
+# patterns of up to 8 letters and ternary ones of up to 6; q = 4 needs a
+# third letter and the lost factor "cabac", longer than q
+SHORTER_TEXT_LOSES = [(b"ab", b"aab", 2), (b"ab", b"aaab", 3), (b"abc", b"abacbc", 4)]
+
+
+@pytest.mark.parametrize("letters, x, q", SHORTER_TEXT_LOSES)
+def test_one_letter_shorter_text_mutant_fails(letters, x, q):
+    mutant = load_mutant(
+        qgramindex, "min(m, max(q, 2 * q - 3)) - 1]", "min(m, max(q, 2 * q - 3)) - 2]"
+    )
+    a = build_alphabet(letters)
+    want = brute_force_index(x, q, a)
+    assert build_index(x, q, a) == want
+    assert mutant.build_index(x, q, a).entries != want.entries
+
+
 def test_entries_bounded_by_q():
     a = build_alphabet("ab")
     idx = build_index(b"abba", 3, a)
@@ -215,6 +249,13 @@ def test_serialization_roundtrip(tmp_path):
     assert blob[42:46] == b"ACGT"
     assert len(blob) == 46 + 4**3
     assert type(idx.entries) is bytes and blob[46:] == idx.entries
+
+
+def test_pattern_digest_is_builtin_sha256():
+    # the builtin module, not hashlib, which would load OpenSSL
+    assert qgramindex.sha256.__module__ == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    for x in (b"", b"A", b"ACGT" * 33, bytes(range(256)) * 5):
+        assert qgramindex.pattern_digest(x) == hashlib.sha256(x).digest()
 
 
 def test_load_rejects_garbage(tmp_path):
