@@ -9,91 +9,25 @@ Search usage (flags at top level), e.g.:
 Output is one TSV row per occurrence: record, start, length, rotation,
 distance.  Exit status follows grep: 0 when something was found, 1 when
 nothing was, 2 on errors.
+
+`main` reads the pattern and the records with `_records_from_bytes`, whose
+rules the README states; `run` checks them, plans and builds or loads the
+index, then searches every record and writes its rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import os
 import sys
-from pathlib import Path
 
-from .alphabet import AlphabetError, build_alphabet, to_bytes
+from .alphabet import build_alphabet, to_bytes
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
 from .searcher import PlanError, SearchPlan, SearchStats, check_overrides, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
 NEEDS_NUMPY = "numpy, the optional extra circmatch[reference]"
-
-
-class FastaError(ValueError):
-    pass
-
-
-def ingest_fasta(stream) -> list[tuple[str, bytes]]:
-    """Parse FASTA records from an iterable of text lines."""
-    records: list[tuple[str, bytearray]] = []
-    saw_any = False
-    for raw in stream:
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        saw_any = True
-        if line.startswith(">"):
-            records.append((line[1:].split()[0] if line[1:].split() else "", bytearray()))
-        else:
-            if not records:
-                raise FastaError("sequence line before any FASTA header")
-            records[-1][1].extend(line.strip().encode("latin-1"))
-    if not saw_any:
-        raise FastaError("empty FASTA input")
-    if not records:
-        raise FastaError("no FASTA records found")
-    return [(name, bytes(seq)) for name, seq in records]
-
-
-class RunConfig:
-    """One search run.  `text_records` is [(name, bytes)], `alphabet_spec`
-    is "dna", "auto" or the letters as bytes (see `parse_alphabet`), and
-    `mode` is auto, filter, verify-all or oracle."""
-
-    def __init__(
-        self,
-        pattern: bytes,
-        text_records: list,
-        k: int,
-        alphabet_spec: str | bytes = "auto",
-        q: int | None = None,
-        c: float | None = None,
-        epsilon: float = 0.5,
-        mode: str = "auto",
-        stats: bool = False,
-        index_cache: str | None = None,
-        header: bool = False,
-        strict: bool = False,
-        fold_case: bool = False,
-        out=None,
-    ):
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        self.pattern = pattern
-        self.text_records = text_records
-        self.k = k
-        self.alphabet_spec = alphabet_spec
-        self.q = q
-        self.c = c
-        self.epsilon = epsilon
-        self.mode = mode
-        self.stats = stats
-        self.index_cache = index_cache
-        self.header = header
-        self.strict = strict
-        self.fold_case = fold_case
-        self.out = sys.stdout if out is None else out
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 def parse_alphabet(arg: str) -> str | bytes:
@@ -107,11 +41,11 @@ def parse_alphabet(arg: str) -> str | bytes:
     raise ValueError(f"unknown alphabet {arg!r}; use dna, auto or letters:STR")
 
 
-def _load_cached_index(cfg, alphabet, pattern):
-    if not cfg.index_cache:
+def _load_cached_index(args, alphabet, pattern):
+    if not args.index_cache:
         return None
     try:
-        idx = QGramIndex.load(cfg.index_cache)
+        idx = QGramIndex.load(args.index_cache)
     except FileNotFoundError:
         return None
     if idx.digest != pattern_digest(pattern):
@@ -122,112 +56,114 @@ def _load_cached_index(cfg, alphabet, pattern):
         raise ValueError(
             "cached index was built for a different alphabet; remove the cache file"
         )
-    if cfg.q is not None and idx.q != cfg.q:
-        raise ValueError(f"cached index has q={idx.q} but q={cfg.q} was requested")
+    if args.q is not None and idx.q != args.q:
+        raise ValueError(f"cached index has q={idx.q} but q={args.q} was requested")
     return idx
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one search run; returns the process exit status."""
-    out = cfg.out
-    pattern = cfg.pattern.upper() if cfg.fold_case else cfg.pattern
-    records = [
-        (name, seq.upper() if cfg.fold_case else seq) for name, seq in cfg.text_records
-    ]
+def _checked_inputs(args, pattern, records):
+    """The pattern, records and alphabet the run searches, after
+    --fold-case; ValueError for arguments or input the run refuses."""
+    spec = parse_alphabet(args.alphabet)
+    if args.k < 0:
+        raise ValueError("k must be non-negative")
+    if args.fold_case:
+        pattern = pattern.upper()
+        records = [(name, seq.upper()) for name, seq in records]
+        if spec not in ("dna", "auto"):
+            spec = spec.upper()
     m = len(pattern)
     if m == 0:
-        print("error: empty pattern", file=sys.stderr)
-        return 2
-    if cfg.k >= m:
-        print(f"error: k={cfg.k} must be smaller than the pattern length {m}", file=sys.stderr)
-        return 2
-    data = [pattern] + [seq for _, seq in records]
-    spec = cfg.alphabet_spec
-    if cfg.fold_case and spec not in ("dna", "auto"):
-        spec = spec.upper()
-    try:
-        alphabet = build_alphabet(spec, data=data)
-    except AlphabetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.strict:
+        raise ValueError("empty pattern")
+    if args.k >= m:
+        raise ValueError(f"k={args.k} must be smaller than the pattern length {m}")
+    alphabet = build_alphabet(spec, data=[pattern] + [seq for _, seq in records])
+    if args.strict:
         for name, seq in records:
             for ch in set(seq):
                 if alphabet.rank(ch) is None:
-                    print(
-                        f"error: record {name!r} contains letter {chr(ch)!r} outside the alphabet",
-                        file=sys.stderr,
+                    raise ValueError(
+                        f"record {name!r} contains letter {chr(ch)!r} outside the alphabet"
                     )
-                    return 2
-    totals = {"examined": 0, "verified": 0, "qgrams": 0, "chars": 0, "occ": 0}
-    mode_used = cfg.mode
-    found_any = False
-    if cfg.header:
-        out.write("record\tstart\tlength\trotation\tdistance\n")
-    try:
-        check_overrides(m, cfg.q, cfg.c, cfg.epsilon)
-        if cfg.mode == "oracle":
-            for name, seq in records:
-                if len(seq) * m * m > ORACLE_SCALE_LIMIT:
-                    print(
-                        f"error: oracle mode refuses n*m^2 = {len(seq) * m * m} > {ORACLE_SCALE_LIMIT}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            # imported here: the oracle needs numpy, which searching does not
-            try:
-                from .reference import oracle_search
-            except ModuleNotFoundError as exc:
-                print(f"error: oracle mode needs {NEEDS_NUMPY}: {exc}", file=sys.stderr)
-                return 2
-        else:
-            if cfg.mode == "verify-all":
-                pln = SearchPlan.verify_all(m, cfg.k, cfg.epsilon)
-            else:
-                pln = plan(m, cfg.k, alphabet, q=cfg.q, c=cfg.c, epsilon=cfg.epsilon)
-                if cfg.mode == "filter" and pln.mode != "filter":
-                    print(
-                        "error: no feasible filter parameters; "
-                        "c must satisfy k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0 "
-                        "and the window must hold 2q + k/c",
-                        file=sys.stderr,
-                    )
-                    return 2
-            mode_used = pln.mode
-            idx = None
-            if pln.mode == "filter":
-                idx = _load_cached_index(cfg, alphabet, pattern)
-                if idx is not None and idx.q != pln.q:
-                    # the cache fixes q; replan around it (raises if infeasible)
-                    pln = plan(m, cfg.k, alphabet, q=idx.q, c=cfg.c, epsilon=cfg.epsilon)
-                if idx is None:
-                    idx = build_index(pattern, pln.q, alphabet)
-                    if cfg.index_cache:
-                        idx.save(cfg.index_cache)
+    check_overrides(m, args.q, args.c, args.epsilon)
+    if args.mode == "oracle":
         for name, seq in records:
-            if cfg.mode == "oracle":
-                occs, st = oracle_search(seq, pattern, cfg.k), SearchStats()
-            else:
-                occs, st = search(seq, pattern, cfg.k, pln, idx)
-            found_any |= bool(occs)
-            totals["examined"] += st.windows_examined
-            totals["verified"] += st.windows_verified
-            totals["qgrams"] += st.qgrams_read
-            totals["chars"] += st.chars_inspected
-            totals["occ"] += len(occs)
-            for o in occs:
-                out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
-    except (PlanError, IndexBudgetError, ValueError) as exc:
+            if len(seq) * m * m > ORACLE_SCALE_LIMIT:
+                raise ValueError(
+                    f"oracle mode refuses n*m^2 = {len(seq) * m * m} > {ORACLE_SCALE_LIMIT}"
+                )
+        try:  # the oracle needs numpy, which searching does not
+            from . import reference  # noqa: F401
+        except ModuleNotFoundError as exc:
+            raise ValueError(f"oracle mode needs {NEEDS_NUMPY}: {exc}") from None
+    return pattern, records, alphabet
+
+
+def _plan_and_index(args, pattern, alphabet):
+    """The plan of the run (None in oracle mode) and, for a filter plan,
+    its index: loaded from --index-cache when the file exists, else built
+    and saved there."""
+    m = len(pattern)
+    if args.mode == "oracle":
+        return None, None
+    if args.mode == "verify-all":
+        return SearchPlan.verify_all(m, args.k, args.epsilon), None
+    pln = plan(m, args.k, alphabet, q=args.q, c=args.c, epsilon=args.epsilon)
+    if pln.mode != "filter":
+        if args.mode == "filter":
+            raise PlanError(
+                "no feasible filter parameters; "
+                "c must satisfy k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0 "
+                "and the window must hold 2q + k/c"
+            )
+        return pln, None
+    idx = _load_cached_index(args, alphabet, pattern)
+    if idx is None:
+        idx = build_index(pattern, pln.q, alphabet)
+        if args.index_cache:
+            idx.save(args.index_cache)
+    elif idx.q != pln.q:
+        # the cache fixes q; replan around it (raises if infeasible)
+        pln = plan(m, args.k, alphabet, q=idx.q, c=args.c, epsilon=args.epsilon)
+    return pln, idx
+
+
+def _search_and_emit(args, pattern, records, pln, idx) -> int:
+    """Write each record's rows, then the --stats block summed over the
+    records; 0 when a row was written, else 1."""
+    if pln is None:
+        from .reference import oracle_search
+    out = sys.stdout
+    if args.header:
+        out.write("record\tstart\tlength\trotation\tdistance\n")
+    total = SearchStats()
+    # the --stats lines, in the order SearchStats sets its fields
+    counters = [field for field in vars(total) if field != "skips"]
+    for name, seq in records:
+        if pln is None:
+            occs = oracle_search(seq, pattern, args.k)
+            st = SearchStats(occurrences_reported=len(occs))
+        else:
+            occs, st = search(seq, pattern, args.k, pln, idx)
+        for field in counters:
+            setattr(total, field, getattr(total, field) + getattr(st, field))
+        for o in occs:
+            out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
+    if args.stats:
+        out.write(f"# mode={args.mode if pln is None else pln.mode}\n")
+        out.writelines(f"# {field}={getattr(total, field)}\n" for field in counters)
+    return 0 if total.occurrences_reported else 1
+
+
+def run(args, pattern: bytes, records: list[tuple[str, bytes]]) -> int:
+    """One search run over the parsed arguments; returns the exit status."""
+    try:
+        pattern, records, alphabet = _checked_inputs(args, pattern, records)
+        pln, idx = _plan_and_index(args, pattern, alphabet)
+    except (ValueError, IndexBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.stats:
-        out.write(f"# mode={mode_used}\n")
-        out.write(f"# windows_examined={totals['examined']}\n")
-        out.write(f"# windows_verified={totals['verified']}\n")
-        out.write(f"# qgrams_read={totals['qgrams']}\n")
-        out.write(f"# chars_inspected={totals['chars']}\n")
-        out.write(f"# occurrences_reported={totals['occ']}\n")
-    return 0 if found_any else 1
+    return _search_and_emit(args, pattern, records, pln, idx)
 
 
 def _read_text_source(path: str) -> bytes:
@@ -238,13 +174,33 @@ def _read_text_source(path: str) -> bytes:
 
 
 def _records_from_bytes(blob: bytes) -> list[tuple[str, bytes]]:
-    if blob.lstrip().startswith(b">"):
-        lines = blob.decode("latin-1").splitlines()
-        return ingest_fasta(lines)
-    data = blob
-    while data.endswith(b"\n") or data.endswith(b"\r"):
-        data = data[:-1]
-    return [("text", data)]
+    """The (name, letters) records of a FASTA or plain input.
+
+    A leading UTF-8 byte-order mark is dropped.  Lines end at LF, CR LF
+    or CR; each is stripped of ASCII whitespace, and blank lines are
+    skipped.  A line that starts with `>` opens a record named by the
+    first word after it, and the lines up to the next such header are
+    joined into its letters.  An input with no header is one record,
+    `text`, of all its lines joined.  A header with no name, and a header
+    after lines that have none, raise ValueError.
+    """
+    records: list[tuple[str, list[bytes]]] = []
+    lines: list[bytes] = []  # of the record that is open
+    for no, line in enumerate(blob.removeprefix(codecs.BOM_UTF8).splitlines(), 1):
+        line = line.strip()
+        if line.startswith(b">"):
+            words = line[1:].split(None, 1)
+            if not words:
+                raise ValueError(f"line {no}: FASTA header with no name")
+            if lines and not records:
+                raise ValueError(f"line {no}: FASTA header after sequence lines that have none")
+            lines = []
+            records.append((words[0].decode("latin-1"), lines))
+        elif line:
+            lines.append(line)
+    if not records:
+        records.append(("text", lines))
+    return [(name, b"".join(parts)) for name, parts in records]
 
 
 def _search_parser() -> argparse.ArgumentParser:
@@ -318,30 +274,26 @@ def main(argv=None) -> int:
         if args.pattern is not None:
             pattern = to_bytes(args.pattern)
         else:
-            raw = Path(args.pattern_file).read_bytes()
-            while raw.endswith(b"\n") or raw.endswith(b"\r"):
-                raw = raw[:-1]
-            pattern = raw
+            with open(args.pattern_file, "rb") as fh:
+                (_, pattern), *more = _records_from_bytes(fh.read())
+            if more:
+                raise ValueError(
+                    f"pattern file holds {len(more) + 1} FASTA records; it must hold one"
+                )
         records = _records_from_bytes(_read_text_source(args.text))
-        cfg = RunConfig(
-            pattern=pattern,
-            text_records=records,
-            k=args.k,
-            alphabet_spec=parse_alphabet(args.alphabet),
-            q=args.q,
-            c=args.c,
-            epsilon=args.epsilon,
-            mode=args.mode,
-            stats=args.stats,
-            index_cache=args.index_cache,
-            header=args.header,
-            strict=args.strict,
-            fold_case=args.fold_case,
-        )
-    except (OSError, FastaError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        status = run(args, pattern, records)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout, as `head` does: stop without a traceback,
+        # and send what is still buffered to devnull, where the flush at exit
+        # cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

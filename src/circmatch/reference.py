@@ -480,8 +480,15 @@ def build_doubled(x: str | bytes) -> bytes:
 
 
 def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
-    """Reference index by exhaustive enumeration: for every gram, the full
-    DP distance to every factor of the doubled pattern of length 0..2q.
+    """Reference index by exhaustive enumeration: for every gram, the least
+    plain DP distance to a factor of the doubled pattern of length 0..2q.
+
+    Each such factor is a prefix of a head xp[i : i + 2q].  Column j of the
+    DP of the gram against a head holds the distances of the gram's
+    prefixes to the head's first j letters, so its last cell scores one
+    factor.  Sorted heads reuse the columns of their common prefix with the
+    previous head, and a head is left once its column minimum reaches the
+    best score so far: no column's minimum is below the one before it.
 
     Desk-scale only (sigma^q <= 4096, len(x) <= 32).
     """
@@ -492,14 +499,25 @@ def brute_force_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
     if a.size**q > 4096 or m > 32:
         raise ValueError("brute-force index is limited to sigma^q <= 4096, m <= 32")
     xp = build_doubled(xb)
-    # the last row of the matrix against xp[i : i + 2q] holds the distance
-    # to each of its prefixes, the factors of length 0..2q that start at i
     heads = sorted({xp[i : i + 2 * q] for i in range(len(xp))})
     entries = bytearray(a.size**q)
     for gram in enumerate_qgrams(a, q):
         best = q  # the empty factor
+        cols = [list(range(q + 1))]  # cols[j]: the column after the head's first j letters
+        prev = b""
         for v in heads:
-            best = min(best, *full_edit_distance(gram, v).last_row())
+            j = 0
+            while j < len(cols) - 1 and j < len(v) and v[j] == prev[j]:
+                j += 1
+            del cols[j + 1 :]
+            while j < len(v) and min(cols[j]) < best:
+                col, nxt = cols[j], [j + 1]
+                for i in range(1, q + 1):
+                    nxt.append(min(col[i - 1] + (gram[i - 1] != v[j]), col[i] + 1, nxt[i - 1] + 1))
+                cols.append(nxt)
+                best = min(best, nxt[q])
+                j += 1
+            prev = v
             if best == 0:
                 break
         entries[encode_qgram(gram, a)] = best

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from circmatch.bitparallel import rotation_screen
-from circmatch.cli import FastaError, ingest_fasta, main
+from circmatch.cli import _records_from_bytes, main
 from helpers import brute_search, count_half_tables, plant_edited_rotation, random_string
 
 
@@ -28,23 +28,38 @@ def run_python(script: str, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
-def test_ingest_fasta_concatenates_lines():
-    assert ingest_fasta([">s1", "ACGT", "ACGT"]) == [("s1", b"ACGTACGT")]
+def rows_of(name: str, occs) -> str:
+    return "".join(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n" for o in occs)
 
 
-def test_ingest_fasta_multiple_records():
-    recs = ingest_fasta([">a", "AC", ">b", "GT"])
+def test_records_from_bytes_concatenates_lines():
+    assert _records_from_bytes(b">s1 some description\nACGT\r\n  ACGT \n\n") == [("s1", b"ACGTACGT")]
+
+
+def test_records_from_bytes_multiple_records():
+    recs = _records_from_bytes(b">a\nAC\n>b\nGT")
     assert recs == [("a", b"AC"), ("b", b"GT")]
 
 
-def test_ingest_fasta_rejects_headerless():
-    with pytest.raises(FastaError):
-        ingest_fasta(["ACGT"])
+@pytest.mark.parametrize("blob, line", [
+    pytest.param(b"ACGT\n>r1\nACGT", 2, id="header-after-sequence"),
+    pytest.param(b">\nACGT\n", 1, id="header-without-name"),
+    pytest.param(b">r1\nACGT\n> \t\nACGT\n", 3, id="blank-name-later"),
+])
+def test_records_from_bytes_rejects_bad_headers(blob, line):
+    with pytest.raises(ValueError, match=f"^line {line}: FASTA header "):
+        _records_from_bytes(blob)
 
 
-def test_ingest_fasta_rejects_empty():
-    with pytest.raises(FastaError):
-        ingest_fasta([])
+def test_records_from_bytes_splits_lines_at_line_breaks_only():
+    # form feed, vertical tab, the separators \x1c-\x1e and \x85 are
+    # letters inside a line; only LF, CR LF and CR end one
+    blob = b">r\x85x\nA\x0bC\x0cG\x1cT\x1d\x1e\x85\rAC\n"
+    assert _records_from_bytes(blob) == [("r\x85x", b"A\x0bC\x0cG\x1cT\x1d\x1e\x85AC")]
+
+
+def test_records_from_bytes_empty_input_is_one_empty_text():
+    assert _records_from_bytes(b"") == _records_from_bytes(b"\r\n \n") == [("text", b"")]
 
 
 def test_cli_reports_rotation(tmp_path, capsys):
@@ -376,6 +391,140 @@ def test_cli_pattern_file_and_stdin(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["--pattern-file", str(pf), "--text", "-", "-k", "0"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("text\t2\t6\t")
+
+
+def _planted(seed: int, m: int, n: int, k: int) -> tuple[bytes, bytes]:
+    rng = random.Random(seed)
+    x = random_string(rng, b"ACGT", m)
+    t = bytearray(random_string(rng, b"ACGT", n))
+    for _ in range(3):
+        plant_edited_rotation(rng, t, x, k, b"ACGT")
+    return x, bytes(t)
+
+
+def test_cli_plain_text_lines_are_joined(tmp_path, capsys):
+    # a plain text is one record of all its lines: the line breaks, CR LF
+    # and CR included, are not letters, so occurrences run across them
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"ACGTAC\nGTACGT\r\n")
+    code, out, err = run_cli(["--pattern", "ACGTACGT", "--text", str(text), "-k", "1"], capsys)
+    assert (code, err) == (0, "") and out == rows_of("text", brute_search(b"ACGTACGTACGT", b"ACGTACGT", 1))
+    x, t = _planted(41, 16, 400, 2)
+    text.write_bytes(b"".join(t[i : i + 50] + b"\r\n\r"[i % 3 :] for i in range(0, len(t), 50)))
+    code, out, err = run_cli(["--pattern", x.decode(), "--text", str(text), "-k", "2"], capsys)
+    want = rows_of("text", brute_search(t, x, 2))
+    assert want.count("\n") >= 3 and (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("body, name", [
+    pytest.param(b">r1 planted\n{}\n", "r1", id="fasta"),
+    pytest.param(b"{}\n", "text", id="plain"),
+])
+def test_cli_leading_byte_order_mark_is_dropped(tmp_path, capsys, body, name):
+    x, t = _planted(42, 12, 200, 1)
+    text = tmp_path / "t.fa"
+    text.write_bytes(b"\xef\xbb\xbf" + body.replace(b"{}", t))
+    code, out, err = run_cli(["--pattern", x.decode(), "--text", str(text), "-k", "1"], capsys)
+    want = rows_of(name, brute_search(t, x, 1))
+    assert want and (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(b"ACGT\n>r1\nACGT\n", "line 2: FASTA header after sequence lines that have none",
+                 id="header-after-sequence"),
+    pytest.param(b">\nACGTACGT\n", "line 1: FASTA header with no name", id="header-without-name"),
+    pytest.param(b">r1\nACGTACGT\n>  \nACGT\n", "line 3: FASTA header with no name",
+                 id="later-header-without-name"),
+])
+def test_cli_refused_fasta_headers_exit_2(tmp_path, capsys, blob, message):
+    text = tmp_path / "t.fa"
+    text.write_bytes(blob)
+    code, out, err = run_cli(["--pattern", "ACGTACGT", "--text", str(text), "-k", "1"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("alphabet", ["auto", "dna"])
+def test_cli_fasta_pattern_file_gives_its_record(tmp_path, capsys, alphabet):
+    # the pattern file goes through the text reader: one FASTA record gives
+    # its letters, not the header and line breaks
+    rng = random.Random(43)
+    x, t = b"ACGTACGA", bytearray(random_string(rng, b"ACGT", 300))
+    for _ in range(3):
+        plant_edited_rotation(rng, t, x, 1, b"ACGT")
+    t = bytes(t)
+    pf = tmp_path / "p.fa"
+    pf.write_bytes(b">p\nACGT\r\nACGA\n")
+    text = tmp_path / "t.txt"
+    text.write_bytes(t)
+    code, out, err = run_cli(
+        ["--pattern-file", str(pf), "--text", str(text), "-k", "1", "--alphabet", alphabet], capsys
+    )
+    want = rows_of("text", brute_search(t, x, 1))
+    assert want and (code, out, err) == (0, want, "")
+
+
+def test_cli_pattern_file_with_two_records_exits_2(tmp_path, capsys):
+    pf = tmp_path / "p.fa"
+    pf.write_bytes(b">p\nACGT\n>q\nACGA\n")
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"ACGTACGA")
+    code, out, err = run_cli(["--pattern-file", str(pf), "--text", str(text)], capsys)
+    assert (code, out, err) == (2, "", "error: pattern file holds 2 FASTA records; it must hold one\n")
+
+
+@pytest.mark.parametrize("cache", [
+    pytest.param(lambda tmp: tmp, id="a-directory"),
+    pytest.param(lambda tmp: tmp / "missing" / "idx.bin", id="parent-missing"),
+])
+def test_cli_index_cache_path_errors_exit_2(tmp_path, capsys, cache):
+    args = _cache_args(tmp_path, "ACGTACGTACGTTGCA")
+    args[args.index("--index-cache") + 1] = str(cache(tmp_path))
+    code, out, err = run_cli(args + ["--header", "--stats"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("reader", ["reads-one-line", "gone-before-start"])
+def test_cli_closed_stdout_stops_quietly(tmp_path, reader, buffered):
+    # a reader that goes away stops the run with exit 2 and an empty
+    # stderr.  One that reads a line first leaves about 1.2 MB of rows of an
+    # 80 000-letter record unread, more than any pipe buffers, so the
+    # program is still writing when it goes; one that is gone before the
+    # start leaves two rows, which a buffered stdout writes at its last flush
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-c", "import sys; from circmatch.cli import main; sys.exit(main())"]
+    fa = tmp_path / "t.fa"
+    if reader == "reads-one-line":
+        fa.write_text(">big\n" + "ACGT" * 20_000 + "\n")
+        proc = subprocess.Popen(
+            cmd + ["--pattern", "ACGT", "--text", str(fa), "-k", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert first == b"big\t0\t4\t0\t0\n"
+    else:
+        fa.write_text(">r1\nTTACGTACGTTGCATT\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                cmd + ["--pattern", "ACGTACGTTGCA", "--text", str(fa), "-k", "0"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (2, b"")
 
 
 def test_cli_bench_subcommand(capsys):

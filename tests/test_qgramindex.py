@@ -12,6 +12,7 @@ from circmatch.reference import (
     brute_force_index,
     build_doubled,
     encode_qgram,
+    enumerate_qgrams,
     full_edit_distance,
     rotate,
 )
@@ -54,6 +55,22 @@ def test_brute_example():
     ab = build_alphabet("ab")
     idx = brute_force_index(b"ab", 2, ab)
     assert idx.entries[encode_qgram("bb", ab)] == 1
+
+
+@pytest.mark.parametrize("letters, x, q", [
+    (b"ab", b"abbab", 1), (b"ab", b"abbab", 3), (b"ab", b"aaaa", 2), (b"abc", b"cabca", 2),
+    (b"abc", b"aabc", 3),
+])
+def test_brute_force_index_matches_factor_definition(letters, x, q):
+    # an entry is the least full DP distance from the gram to a factor of
+    # x + x[:-1] of length 0..2q, each factor scored on its own
+    a = build_alphabet(letters)
+    xp = build_doubled(x)
+    factors = {xp[i : i + n] for i in range(len(xp)) for n in range(2 * q + 1)}
+    idx = brute_force_index(x, q, a)
+    for gram in enumerate_qgrams(a, q):
+        want = min(full_edit_distance(gram, f).distance for f in factors)
+        assert idx.entries[encode_qgram(gram, a)] == want, gram
 
 
 def test_factor_qgrams_score_zero():
