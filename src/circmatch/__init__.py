@@ -2,7 +2,7 @@
 
 Finds all factors of a text within edit distance k of any rotation of a
 pattern, with a q-gram filtration index for sublinear average-case
-scanning and block verification for candidates.  The reference
+scanning and bit-parallel verification of the candidates.  The reference
 implementations that check the search live in `circmatch.reference`, and
 the benchmark driver in `circmatch.bench`; importing the package loads
 neither.
@@ -10,15 +10,14 @@ neither.
 
 from .alphabet import Alphabet, AlphabetError, build_alphabet
 from .qgramindex import IndexBudgetError, QGramIndex, build_index
-from .searcher import PlanError, SearchPlan, SearchStats, plan, search, search_chunked
-from .verifier import Block, Occurrence, verify_block
+from .searcher import PlanError, SearchPlan, SearchStats, plan, search
+from .verifier import Occurrence
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
     "AlphabetError",
-    "Block",
     "IndexBudgetError",
     "Occurrence",
     "PlanError",
@@ -29,7 +28,5 @@ __all__ = [
     "build_index",
     "plan",
     "search",
-    "search_chunked",
-    "verify_block",
     "__version__",
 ]

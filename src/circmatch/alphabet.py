@@ -13,7 +13,7 @@ def to_bytes(s: str | bytes | bytearray) -> bytes:
     return bytes(s)
 
 
-FOREIGN = 0xFF  # rank of a letter outside the alphabet in rank_table()
+FOREIGN = 0xFF  # rank of a letter outside the alphabet in the rank table
 
 
 class Alphabet:
@@ -61,13 +61,6 @@ class Alphabet:
             letter = to_bytes(letter)[0]
         r = self._ranks[letter]
         return None if r == FOREIGN else r
-
-    def unrank(self, r: int) -> int:
-        return self.letters[r]
-
-    def rank_table(self) -> bytes:
-        """256-entry rank lookup table, 0xFF marking foreign bytes."""
-        return self._ranks
 
 
 def build_alphabet(spec: str | bytes, data: tuple = ()) -> Alphabet:

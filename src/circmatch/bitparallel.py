@@ -17,8 +17,8 @@ about twenty operations on m(m+1)-bit ints in place of m separate passes:
 `occurrences(data, starts)` settles the first `starts` positions of `data`
 as candidate starts, `data` reaching m + k letters past the last of them
 or to the end of the text.  `search` hands it one slice per run of
-verified windows, the whole text in verify-all mode; `verify_block` hands
-it one 2m-letter block.  It runs two kinds of pass:
+verified windows, the whole text in verify-all mode.  It runs two kinds of
+pass:
 
   * distances: one pass reads the data right to left against the reversed
     rotations with a free start (D[0][j] = 0), so after the letter at

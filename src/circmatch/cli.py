@@ -83,7 +83,8 @@ def _checked_inputs(args, pattern, records):
             for ch in set(seq):
                 if alphabet.rank(ch) is None:
                     raise ValueError(
-                        f"record {name!r} contains letter {chr(ch)!r} outside the alphabet"
+                        f"record {name.decode('latin-1')!r} contains letter {chr(ch)!r} "
+                        "outside the alphabet"
                     )
     check_overrides(m, args.q, args.c, args.epsilon)
     if args.mode == "oracle":
@@ -130,12 +131,13 @@ def _plan_and_index(args, pattern, alphabet):
 
 def _search_and_emit(args, pattern, records, pln, idx) -> int:
     """Write each record's rows, then the --stats block summed over the
-    records; 0 when a row was written, else 1."""
+    records, as bytes, so that a record name prints as it was read; 0 when
+    a row was written, else 1."""
     if pln is None:
         from .reference import oracle_search
-    out = sys.stdout
+    out = sys.stdout.buffer
     if args.header:
-        out.write("record\tstart\tlength\trotation\tdistance\n")
+        out.write(b"record\tstart\tlength\trotation\tdistance\n")
     total = SearchStats()
     # the --stats lines, in the order SearchStats sets its fields
     counters = [field for field in vars(total) if field != "skips"]
@@ -148,14 +150,14 @@ def _search_and_emit(args, pattern, records, pln, idx) -> int:
         for field in counters:
             setattr(total, field, getattr(total, field) + getattr(st, field))
         for o in occs:
-            out.write(f"{name}\t{o.start}\t{o.length}\t{o.rotation}\t{o.distance}\n")
+            out.write(b"%s\t%d\t%d\t%d\t%d\n" % (name, o.start, o.length, o.rotation, o.distance))
     if args.stats:
-        out.write(f"# mode={args.mode if pln is None else pln.mode}\n")
-        out.writelines(f"# {field}={getattr(total, field)}\n" for field in counters)
+        out.write(f"# mode={args.mode if pln is None else pln.mode}\n".encode())
+        out.writelines(f"# {field}={getattr(total, field)}\n".encode() for field in counters)
     return 0 if total.occurrences_reported else 1
 
 
-def run(args, pattern: bytes, records: list[tuple[str, bytes]]) -> int:
+def run(args, pattern: bytes, records: list[tuple[bytes, bytes]]) -> int:
     """One search run over the parsed arguments; returns the exit status."""
     try:
         pattern, records, alphabet = _checked_inputs(args, pattern, records)
@@ -173,18 +175,18 @@ def _read_text_source(path: str) -> bytes:
         return fh.read()
 
 
-def _records_from_bytes(blob: bytes) -> list[tuple[str, bytes]]:
+def _records_from_bytes(blob: bytes) -> list[tuple[bytes, bytes]]:
     """The (name, letters) records of a FASTA or plain input.
 
     A leading UTF-8 byte-order mark is dropped.  Lines end at LF, CR LF
     or CR; each is stripped of ASCII whitespace, and blank lines are
     skipped.  A line that starts with `>` opens a record named by the
-    first word after it, and the lines up to the next such header are
-    joined into its letters.  An input with no header is one record,
-    `text`, of all its lines joined.  A header with no name, and a header
-    after lines that have none, raise ValueError.
+    first word after it, kept as bytes, and the lines up to the next such
+    header are joined into its letters.  An input with no header is one
+    record, `text`, of all its lines joined.  A header with no name, and a
+    header after lines that have none, raise ValueError.
     """
-    records: list[tuple[str, list[bytes]]] = []
+    records: list[tuple[bytes, list[bytes]]] = []
     lines: list[bytes] = []  # of the record that is open
     for no, line in enumerate(blob.removeprefix(codecs.BOM_UTF8).splitlines(), 1):
         line = line.strip()
@@ -195,11 +197,11 @@ def _records_from_bytes(blob: bytes) -> list[tuple[str, bytes]]:
             if lines and not records:
                 raise ValueError(f"line {no}: FASTA header after sequence lines that have none")
             lines = []
-            records.append((words[0].decode("latin-1"), lines))
+            records.append((words[0], lines))
         elif line:
             lines.append(line)
     if not records:
-        records.append(("text", lines))
+        records.append((b"text", lines))
     return [(name, b"".join(parts)) for name, parts in records]
 
 

@@ -8,8 +8,9 @@ the search path, and `import circmatch` does not load this module.
   minimal distance then minimal length).
 * edit distance: the full and banded dynamic programming matrices, and
   the wave representation of the banded matrix.
-* `verify_block_waves`: `verifier.verify_block`'s output, found by
-  driving the waves over a block with a work count.
+* `verify_block_waves`: the rotation screen's output on one block of
+  text, found by rebuilding the waves start by start and rotation by
+  rotation with a work count.
 * `min_prefix_distances` and `oracle_search`: a vectorized banded pass
   over every start and rotation, sharing no kernel with the search.
 * `build_doubled` and `brute_force_index`: the doubled pattern x + x[:-1],
@@ -32,10 +33,9 @@ plus the match-run scans.
 The vectorized band pass takes a batch of equal-length patterns (all
 rotations of one pattern) and advances the band of each pattern-vs-suffix
 matrix row by row simultaneously for every candidate start: the state is
-one array per band offset holding a (pattern, start) matrix of cell
-values.  Values above the threshold are clamped, and the pass aborts once
-every tracked cell exceeds the threshold, which on random text happens a
-couple of rows past the band width.
+one (band offset, pattern, start) array of cell values, and a row is a few
+numpy operations over all of it.  The pass aborts once every tracked cell
+exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import FOREIGN, Alphabet, AlphabetError, to_bytes
+from .alphabet import Alphabet, AlphabetError, to_bytes
 from .qgramindex import QGramIndex, pattern_digest
-from .verifier import Block, Occurrence
+from .verifier import Occurrence
 
 
 def encode_qgram(gram: str | bytes, a: Alphabet) -> int | None:
@@ -55,11 +55,10 @@ def encode_qgram(gram: str | bytes, a: Alphabet) -> int | None:
     foreign (the caller decides the policy for unencodable grams)."""
     g = to_bytes(gram)
     sigma = a.size
-    ranks = a.rank_table()
     code = 0
     for ch in g:
-        r = ranks[ch]
-        if r == FOREIGN:
+        r = a.rank(ch)
+        if r is None:
             return None
         code = code * sigma + r
     return code
@@ -212,8 +211,8 @@ class WaveSet:
     """Waves of the banded matrix for `pattern` (rows) vs `text` (columns).
 
     waves[h] maps diagonal d to the lowest cell (i, j) with value h.
-    The source strings ride along because the incremental operations and
-    the match-run scans need them.
+    The source strings ride along because the rebuilds and the match-run
+    scans need them.
     """
 
     pattern: bytes
@@ -246,16 +245,12 @@ def waves_from_scratch(
     return _build_waves(xb, yb, k, tally)
 
 
-def waves_rotate_pattern(
+def rebuild_waves_rotated(
     w: WaveSet, moved_letter: str | bytes | int, y: str | bytes, tally: WorkTally | None = None
 ) -> WaveSet:
-    """Waves after deleting the pattern's first letter and appending
-    `moved_letter` at its end (one rotation step when the moved letter is
-    the deleted one).
-
-    Realized by reconstruction; the result is contractually identical to
-    waves_from_scratch on the rotated pattern.
-    """
+    """Waves built from scratch for the pattern with its first letter
+    deleted and `moved_letter` appended at its end (one rotation step when
+    the moved letter is the deleted one)."""
     if isinstance(moved_letter, int):
         moved = bytes([moved_letter])
     else:
@@ -266,10 +261,11 @@ def waves_rotate_pattern(
     return _build_waves(new_pattern, to_bytes(y), w.k, tally)
 
 
-def waves_drop_text_prefix(
+def rebuild_waves_dropped_prefix(
     w: WaveSet, x: str | bytes, y: str | bytes, tally: WorkTally | None = None
 ) -> WaveSet:
-    """Waves of x vs y with the first text letter removed."""
+    """Waves built from scratch for x vs y with the first text letter
+    removed."""
     yb = to_bytes(y)
     if len(yb) == 0:
         raise ValueError("text is empty, nothing to drop")
@@ -344,31 +340,35 @@ def occurrence_scan(w: WaveSet) -> list[tuple[int, int]]:
 
 
 def verify_block_waves(
-    x: str | bytes, k: int, block: Block, tally: WorkTally | None = None
+    x: str | bytes, k: int, block: bytes, tally: WorkTally | None = None
 ) -> list[Occurrence]:
-    """`verifier.verify_block`'s output, found by walking starts and
-    rotations exactly as the scheme is defined: the waves are carried
-    across one-letter pattern rotations and text prefix drops, and each
-    wave-entry update is charged to `tally`."""
+    """Every occurrence of a rotation of x that starts in the first m - k
+    positions of `block`, one per (start, rotation) with the minimal
+    distance and then the minimal length, as
+    `rotation_screen(x, k).occurrences(block, min(m - k, len(block)))`
+    reports them.  Found by walking starts and rotations exactly as the
+    scheme is defined: the waves are rebuilt after each one-letter pattern
+    rotation and text prefix drop, and each wave-entry update is charged
+    to `tally`."""
     xb = to_bytes(x)
     m = len(xb)
     if not 0 <= k < m:
         raise ValueError("threshold must satisfy 0 <= k < len(pattern)")
-    suffix = block.data
+    suffix = to_bytes(block)
     starts = min(m - k, len(suffix))
     waves = waves_from_scratch(xb, suffix, k, tally)
     out: list[Occurrence] = []
     for p in range(starts):
         for r in range(m):
             for col, dist in occurrence_scan(waves):
-                out.append(Occurrence(block.text_offset + p, col, r, dist))
+                out.append(Occurrence(p, col, r, dist))
             if r < m - 1:
-                waves = waves_rotate_pattern(waves, waves.pattern[0], suffix, tally)
+                waves = rebuild_waves_rotated(waves, waves.pattern[0], suffix, tally)
         if p < starts - 1:
             # one more rotation step returns the pattern to rotation 0,
             # then the leading text letter is dropped for the next start
-            waves = waves_rotate_pattern(waves, waves.pattern[0], suffix, tally)
-            waves = waves_drop_text_prefix(waves, waves.pattern, suffix, tally)
+            waves = rebuild_waves_rotated(waves, waves.pattern[0], suffix, tally)
+            waves = rebuild_waves_dropped_prefix(waves, waves.pattern, suffix, tally)
             suffix = suffix[1:]
     return dedup_occurrences(out)
 
@@ -385,7 +385,9 @@ def min_prefix_distances(
 
     patterns has shape (R, m).  Returns (R, starts) arrays; distances
     above k come back as a value > k, callers test <= k.  Prefixes are
-    clipped at the end of `text`.
+    clipped at the end of `text`.  Cells are int16 and unclamped, so the
+    values are exact while m + k stays below 32 000, and k must stay below
+    _BIG, the value that stands for a missing predecessor.
     """
     if patterns.ndim == 1:
         patterns = patterns[None, :]
@@ -397,37 +399,39 @@ def min_prefix_distances(
             np.empty((nrot, 0), dtype=np.int64),
         )
     width = 2 * k + 1
+    # row lo + k of `windows` is the text from lo on, for lo >= -k; the pad
+    # value 256 equals no letter
     pad = np.full(m + k + 2, 256, dtype=np.int16)
-    tp = np.concatenate([text.astype(np.int16), pad])
+    tp = np.concatenate([pad[:k], text.astype(np.int16), pad])
+    windows = np.lib.stride_tricks.sliding_window_view(tp, starts)
     pat = patterns.astype(np.int16)
-    band: list[np.ndarray] = []
-    for b in range(-k, k + 1):
-        fill = b if b >= 0 else _BIG
-        band.append(np.full((nrot, starts), fill, dtype=np.int16))
+    idx = np.arange(width, dtype=np.int16)[:, None, None]
+    shape = (width, nrot, starts)
+    # u[bi] = D[r][r + bi - k] - bi, so that the chain along a row is a
+    # running minimum; row 0 holds D = b for b >= 0, and _BIG left of the
+    # matrix
+    u = np.empty(shape, dtype=np.int16)
+    u[...] = np.where(idx >= k, -k, _BIG - idx)
+    nxt = np.empty(shape, dtype=np.int16)
+    tmp = np.empty(shape, dtype=np.int16)
     dead_check_from = k + 2
     dead = False
     for r in range(1, m + 1):
-        pr = pat[:, r - 1 : r]  # (R, 1), broadcasts against the text slice
-        new: list[np.ndarray] = []
-        for bi, b in enumerate(range(-k, k + 1)):
-            j = r + b
-            if j < 0:
-                new.append(np.full((nrot, starts), _BIG, dtype=np.int16))
-                continue
-            if j >= 1:
-                lo = r - 1 + b
-                cell = band[bi] + (tp[lo : lo + starts][None, :] != pr)
-            else:
-                cell = np.full((nrot, starts), _BIG, dtype=np.int16)
-            if bi + 1 < width:
-                np.minimum(cell, band[bi + 1] + 1, out=cell)
-            if bi > 0 and j >= 1:
-                np.minimum(cell, new[bi - 1] + 1, out=cell)
-            np.minimum(cell, _BIG, out=cell)
-            new.append(cell)
-        band = new
+        # from D[r-1][j-1], plus one where the letter at lo = r - 1 + b differs
+        np.not_equal(windows[r - 1 : r - 1 + width, None, :], pat[None, :, r - 1 : r], out=tmp)
+        np.add(u, tmp, out=nxt)
+        low = max(0, k + 1 - r)  # the offsets with j <= 0, which have no diagonal
+        nxt[:low] = _BIG - idx[:low]
+        # from D[r-1][j], at the next offset of the row above
+        np.add(u[1:], 2, out=tmp[1:])
+        np.minimum(nxt[:-1], tmp[1:], out=nxt[:-1])
+        # from D[r][j-1], chained along the row.  A loop over the offsets:
+        # np.minimum.accumulate along axis 0 is twenty times slower
+        for bi in range(max(1, low), width):
+            np.minimum(nxt[bi], nxt[bi - 1], out=nxt[bi])
+        u, nxt = nxt, u
         if r >= dead_check_from and r < m and (r - dead_check_from) % 4 == 0:
-            if int(np.min(np.stack(band))) > k:
+            if int((u.min(axis=(1, 2)) + idx[:, 0, 0]).min()) > k:
                 dead = True
                 break
     if dead:
@@ -435,7 +439,7 @@ def min_prefix_distances(
             np.full((nrot, starts), _BIG, dtype=np.int16),
             np.full((nrot, starts), m, dtype=np.int64),
         )
-    stack = np.stack(band)  # (width, R, starts)
+    stack = u + idx  # (width, R, starts)
     # ends beyond the text are not prefixes of anything real
     for bi, b in enumerate(range(-k, k + 1)):
         first_bad = max(0, n - m - b + 1)

@@ -23,18 +23,24 @@ with no pass to merge them.  Verify-all mode has no window loop: it
 settles all n - (m - k) + 1 starts as one run, one pass over the text,
 and counts its windows by arithmetic.
 
-Parameter planning picks (q, c) so the difference-rate exponent
+Parameter planning sweeps q downwards from the largest value that the
+index budgets and the window allow.  At each q it takes c as given, or
+else the c on a 0.01 grid, from k / (epsilon m - k - q) up, that
+maximizes the difference-rate exponent
 
     d(c) = 1 - c + 2c log_sigma(c) + 2(1-c) log_sigma(1-c)
 
-is positive and maximal on a 0.01 grid, subject to the window being able
-to hold the grams plus the slack k/c, and to the index fitting its space
-and build-work budgets.  For sigma >= 8 the classical ceiling
-c < 1 - e/sqrt(sigma) additionally caps the grid; for smaller alphabets
-that bound is vacuous and positivity of d(c) is the operative test.
-When no pair (q, c) is feasible the plan falls back to verifying every
-window, which stays correct: the text is then one run, and the screen
-reads each letter once.
+among those with d(c) > 0 for which the window holds 2q + k/c.  For
+sigma >= 8 the classical ceiling c < 1 - e/sqrt(sigma) additionally caps
+the grid; for smaller alphabets that bound is vacuous and positivity of
+d(c) is the operative test.  The plan takes the first q whose J grams fit
+the window and which is at most
+
+    ceil((3 ln m + ln max(k, 1)) / (d(c) ln sigma)),
+
+so q = Theta(log_sigma m), as the average-case bound needs.  When no q
+passes, the plan falls back to verifying every window, which stays
+correct: the text is then one run, and the screen reads each letter once.
 """
 
 from __future__ import annotations
@@ -181,12 +187,12 @@ def plan(
 ) -> SearchPlan:
     """Choose search parameters for a length-m pattern at threshold k.
 
-    Overrides are validated against the filter-mode invariants (positive
+    A given q is validated against the filter-mode invariants (positive
     exponent, grams fitting the window, window holding 2q + k/c) and used
-    as given.  Without overrides, a fixed-point iteration alternates the
-    grid search for c with the asymptotic expression for q, caps q by the
-    budgets and the window, and falls back to q-descent if the fixed point
-    lands infeasible.
+    with the given c, or the grid's best c for it.  Otherwise one sweep
+    takes the largest feasible q under the budgets, the window and the
+    asymptotic expression, with the given c or each q's best c; with no
+    such q it falls back to verify-all, or raises if c was given.
     """
     if k < 0 or k >= m:
         raise PlanError(f"threshold k={k} must satisfy 0 <= k < m={m}")
@@ -238,49 +244,28 @@ def plan(
     q_cap = min(_q_caps(m, sigma, max_index_entries, max_index_work), (wlen - 1) // 2, m - 1)
     if q_cap < 1:
         return SearchPlan.verify_all(m, k, epsilon)
-
-    if c is not None:
-        dv = d_exponent(c, sigma)
-        if dv <= 0:
-            raise PlanError(
-                f"difference-rate exponent d(c={c:.3f}) = {dv:.4f} is not positive"
-            )
-        qv = math.ceil((3 * math.log(m) + math.log(max(k, 1))) / (math.log(sigma) * dv))
-        qv = max(1, min(qv, q_cap, int((wlen - (k / c if k else 0)) // 2)))
-        for qq in range(qv, 0, -1):
-            try:
-                return check(qq, c)
-            except PlanError:
-                continue
-        raise PlanError(f"no q pairs with c={c} for m={m}, k={k}, sigma={sigma}")
-
-    # fixed-point iteration on q, then a downward sweep if needed
-    q_cur = max(
-        1,
-        min(
-            math.ceil((3 * math.log(m) + math.log(max(k, sigma))) / math.log(sigma)),
-            q_cap,
-        ),
-    )
-    for _ in range(10):
-        got = _best_c(m, k, q_cur, sigma, epsilon)
-        if got is None:
-            break
-        cv, dv = got
-        q_next = math.ceil(
-            (3 * math.log(m) + math.log(max(k, 1))) / (math.log(sigma) * dv)
+    given = None if c is None else (c, d_exponent(c, sigma))
+    if given and given[1] <= 0:
+        raise PlanError(
+            f"difference-rate exponent d(c={c:.3f}) = {given[1]:.4f} is not positive"
         )
-        q_next = max(1, min(q_next, q_cap))
-        if q_next == q_cur:
-            break
-        q_cur = q_next
-    for qv in range(q_cur, 0, -1):
-        got = _best_c(m, k, qv, sigma, epsilon)
+
+    # the largest q under the caps whose c lets the window hold 2q + k/c and
+    # J grams, and that is at most the asymptotic (3 ln m + ln k) / (d ln sigma)
+    top = 3 * math.log(m) + math.log(max(k, 1))
+    for qv in range(q_cap, 0, -1):
+        got = given or _best_c(m, k, qv, sigma, epsilon)
         if got is None:
             continue
         cv, dv = got
-        if _grams_per_window(k, cv, qv) * qv <= wlen:
+        if (
+            2 * qv + (k / cv if k else 0) <= wlen
+            and _grams_per_window(k, cv, qv) * qv <= wlen
+            and qv <= math.ceil(top / (math.log(sigma) * dv))
+        ):
             return make(qv, cv, dv)
+    if given:
+        raise PlanError(f"no q pairs with c={c} for m={m}, k={k}, sigma={sigma}")
     return SearchPlan.verify_all(m, k, epsilon)
 
 
@@ -383,38 +368,4 @@ def search(
     stats.chars_inspected += q * grams
     stats.occurrences_reported = len(occs)
     return occs, stats
-
-
-def search_chunked(
-    t: str | bytes,
-    x: str | bytes,
-    k: int,
-    plan: SearchPlan,
-    idx: QGramIndex | None = None,
-    chunks: int = 1,
-) -> tuple[list[Occurrence], SearchStats]:
-    """Partition the text into `chunks` pieces and search each in turn with
-    2m-1 letters of overlap, keeping the occurrences that start in the
-    piece.  The result is identical to the single-pass output."""
-    tb, xb = to_bytes(t), to_bytes(x)
-    n, m = len(tb), len(xb)
-    chunks = max(1, min(chunks, n or 1))
-    if chunks == 1:
-        return search(tb, xb, k, plan, idx)
-    bounds = [(n * i) // chunks for i in range(chunks + 1)]
-    out: list[Occurrence] = []
-    stats = SearchStats()
-    for core_start, core_end in zip(bounds, bounds[1:]):
-        found, st = search(tb[core_start : core_end + 2 * m - 1], xb, k, plan, idx)
-        out.extend(
-            Occurrence(o.start + core_start, o.length, o.rotation, o.distance)
-            for o in found
-            if o.start < core_end - core_start
-        )
-        stats.windows_examined += st.windows_examined
-        stats.windows_verified += st.windows_verified
-        stats.qgrams_read += st.qgrams_read
-        stats.chars_inspected += st.chars_inspected
-    stats.occurrences_reported = len(out)
-    return out, stats
 

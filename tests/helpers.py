@@ -10,9 +10,8 @@ import inspect
 import random
 import types
 
-from circmatch import Occurrence, qgramindex
+from circmatch import Occurrence, qgramindex, search
 from circmatch.reference import dedup_occurrences, full_edit_distance, rotate
-from circmatch.verifier import Block
 
 
 def waves_via_full_dp(x: bytes, y: bytes, k: int) -> dict:
@@ -35,14 +34,15 @@ def waves_via_full_dp(x: bytes, y: bytes, k: int) -> dict:
     return out
 
 
-def brute_block_occurrences(x: bytes, k: int, block: Block) -> list[Occurrence]:
-    """Every (start, rotation) in the block's candidate range with the
-    minimal (distance, length) pair, straight from the full DP."""
+def brute_block_occurrences(x: bytes, k: int, block: bytes) -> list[Occurrence]:
+    """Every (start, rotation) in the block's candidate range, its first
+    min(m - k, len(block)) positions, with the minimal (distance, length)
+    pair, straight from the full DP."""
     m = len(x)
     out = []
-    limit = min(m - k, len(block.data))
+    limit = min(m - k, len(block))
     for p in range(limit):
-        suffix = block.data[p:]
+        suffix = block[p:]
         for r in range(m):
             row = full_edit_distance(rotate(x, r), suffix).last_row()
             best = None
@@ -50,7 +50,7 @@ def brute_block_occurrences(x: bytes, k: int, block: Block) -> list[Occurrence]:
                 if v <= k and (best is None or (v, j) < best):
                     best = (v, j)
             if best is not None:
-                out.append(Occurrence(block.text_offset + p, best[1], r, best[0]))
+                out.append(Occurrence(p, best[1], r, best[0]))
     return dedup_occurrences(out)
 
 
@@ -69,6 +69,21 @@ def brute_search(t: bytes, x: bytes, k: int) -> list[Occurrence]:
             if best is not None:
                 out.append(Occurrence(p, best[1], r, best[0]))
     return dedup_occurrences(out)
+
+
+def search_in_pieces(t: bytes, x: bytes, k: int, pln, idx=None, pieces: int = 4):
+    """`search` over `pieces` slices of t, each reaching 2m - 1 letters
+    past its share of the starts, so that it holds every occurrence that
+    starts in that share.  Returns the occurrences that start in each
+    share, moved to their place in t, and the stats of every call."""
+    n, m = len(t), len(x)
+    bounds = [n * i // pieces for i in range(pieces + 1)]
+    occs, stats = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        found, st = search(t[lo : hi + 2 * m - 1], x, k, pln, idx)
+        occs += [o._replace(start=lo + o.start) for o in found if o.start < hi - lo]
+        stats.append(st)
+    return occs, stats
 
 
 def boundary_blocks() -> list[tuple[bytes, int, bytes]]:

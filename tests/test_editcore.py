@@ -8,9 +8,9 @@ from circmatch.reference import (
     banded_edit_distance,
     full_edit_distance,
     occurrence_scan,
-    waves_drop_text_prefix,
+    rebuild_waves_dropped_prefix,
+    rebuild_waves_rotated,
     waves_from_scratch,
-    waves_rotate_pattern,
 )
 from helpers import waves_via_full_dp
 
@@ -78,14 +78,14 @@ def test_wave_sizes(x, y, k):
 
 def test_rotate_pattern_examples():
     w = waves_from_scratch("ab", "ab", 1)
-    rotated = waves_rotate_pattern(w, "a", "ab")
+    rotated = rebuild_waves_rotated(w, "a", "ab")
     assert rotated == waves_from_scratch("ba", "ab", 1)
     # unary patterns are rotation-invariant
     w = waves_from_scratch("aaa", "aab", 2)
-    assert waves_rotate_pattern(w, "a", "aab") == w
+    assert rebuild_waves_rotated(w, "a", "aab") == w
     # distance readable from the waves after a rotation step
     w = waves_from_scratch("abc", "cab", 2)
-    w = waves_rotate_pattern(w, "a", "cab")
+    w = rebuild_waves_rotated(w, "a", "cab")
     assert w.pattern == b"bca"
     hits = dict(occurrence_scan(w))
     assert hits[3] == 2 == full_edit_distance("bca", "cab").distance
@@ -93,18 +93,18 @@ def test_rotate_pattern_examples():
 
 def test_drop_text_prefix_examples():
     w = waves_from_scratch("ab", "aab", 1)
-    assert waves_drop_text_prefix(w, "ab", "aab") == waves_from_scratch("ab", "ab", 1)
+    assert rebuild_waves_dropped_prefix(w, "ab", "aab") == waves_from_scratch("ab", "ab", 1)
     w = waves_from_scratch("ab", "a", 1)
-    assert waves_drop_text_prefix(w, "ab", "a") == waves_from_scratch("ab", "", 1)
+    assert rebuild_waves_dropped_prefix(w, "ab", "a") == waves_from_scratch("ab", "", 1)
     w = waves_from_scratch("aaa", "baaa", 1)
-    dropped = waves_drop_text_prefix(w, "aaa", "baaa")
+    dropped = rebuild_waves_dropped_prefix(w, "aaa", "baaa")
     assert dict(occurrence_scan(dropped))[3] == 0
 
 
 def test_drop_empty_text_rejected():
     w = waves_from_scratch("ab", "", 1)
     with pytest.raises(ValueError):
-        waves_drop_text_prefix(w, "ab", "")
+        rebuild_waves_dropped_prefix(w, "ab", "")
 
 
 def test_scan_examples():
@@ -137,9 +137,9 @@ def test_incremental_sequences_match_from_scratch():
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.5 or len(y) == 0:
                 x = x[1:] + x[0]
-                w = waves_rotate_pattern(w, x[-1], y)
+                w = rebuild_waves_rotated(w, x[-1], y)
             else:
-                w = waves_drop_text_prefix(w, x, y)
+                w = rebuild_waves_dropped_prefix(w, x, y)
                 y = y[1:]
             assert w == waves_from_scratch(x, y, k)
             assert w.entries() == waves_via_full_dp(x.encode(), y.encode(), k)

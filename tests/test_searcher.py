@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -13,7 +14,6 @@ from circmatch import (
     build_index,
     plan,
     search,
-    search_chunked,
 )
 from circmatch import searcher
 from circmatch.bitparallel import rotation_screen
@@ -26,6 +26,7 @@ from helpers import (
     load_mutant,
     plant_edited_rotation,
     random_string,
+    search_in_pieces,
 )
 
 
@@ -65,6 +66,51 @@ def test_plan_invariants_when_filtering():
             assert 2 * p.q + (k / p.c if k else 0) <= p.window_len
             assert 1 <= p.q < m and 0 < p.c < 1
     assert feasible > 50
+
+
+# plan keywords of the pinned grid: default plans at two epsilons and two
+# budgets, and plans with c given
+PLAN_GRID_KWARGS = [
+    {},
+    {"epsilon": 0.9},
+    {"max_index_entries": 1 << 14, "max_index_work": 1 << 22},
+    {"c": 0.2},
+    {"c": 0.4},
+]
+# sha256 of the grid's plans, from the planner that iterated q to a fixed
+# point before sweeping it down
+PLAN_GRID_DIGEST = "f340d8105c5bddb54b20ae872f09336be51078a97d385c669debb1b226e67378"
+
+
+def plan_grid_digest(plan_fn) -> str:
+    """sha256 of (mode, q, c, j_grams), or the error's class name, of every
+    plan over sigma in {2, 4, 8, 20}, m in 2..40 and {64, 100, 128, 256},
+    k < min(m, 10) and PLAN_GRID_KWARGS."""
+    h = hashlib.sha256()
+    for sigma in (2, 4, 8, 20):
+        a = build_alphabet(letters_for(sigma))
+        for m in [*range(2, 41), 64, 100, 128, 256]:
+            for k in range(min(m, 10)):
+                for kwargs in PLAN_GRID_KWARGS:
+                    try:
+                        p = plan_fn(m, k, a, **kwargs)
+                        row = (p.mode, p.q, p.c, p.j_grams)
+                    except ValueError as exc:
+                        row = type(exc).__name__
+                    h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_plans_match_pinned_digest():
+    assert plan_grid_digest(plan) == PLAN_GRID_DIGEST
+    # a copy whose sweep drops the asymptotic bound takes the largest q the
+    # caps allow
+    mutant = load_mutant(
+        searcher, "            and qv <= math.ceil(top / (math.log(sigma) * dv))\n", ""
+    )
+    a = build_alphabet("abcd")
+    assert (plan(17, 0, a).q, mutant.plan(17, 0, a).q) == (7, 8)
+    assert plan_grid_digest(mutant.plan) != PLAN_GRID_DIGEST
 
 
 def test_plan_override_validation():
@@ -534,8 +580,8 @@ def test_chunked_equals_single():
         p = plan(m, k, a, max_index_entries=1 << 14, max_index_work=1 << 22)
         idx = build_index(x, p.q, a, max_entries=1 << 14) if p.mode == "filter" else None
         single, _ = search(t, x, k, p, idx)
-        chunked, _ = search_chunked(t, x, k, p, idx, chunks=4)
-        assert chunked == single
+        pieces, _ = search_in_pieces(t, x, k, p, idx, pieces=4)
+        assert pieces == single
 
 
 def test_chunked_builds_half_tables_once(monkeypatch):
@@ -546,17 +592,18 @@ def test_chunked_builds_half_tables_once(monkeypatch):
     assert p.mode == "filter"
     idx = build_index(x, p.q, a)
     t = b"ba" * 10 + b"bc" + b"ba" * 6 + b"b" + b"c" * 12 + b"ba" * 21
-    _, stats = search_chunked(t, x, k, p, idx, chunks=4)
-    assert len(built) == 2 and stats.qgrams_read > 0
+    _, stats = search_in_pieces(t, x, k, p, idx, pieces=4)
+    assert len(built) == 2 and sum(st.qgrams_read for st in stats) > 0
 
 
 def test_chunked_builds_one_screen():
     x, k = b"abcabcab", 1
     t = b"abcabcabcaabcbacabcab" * 6
     rotation_screen.cache_clear()
-    _, stats = search_chunked(t, x, k, SearchPlan.verify_all(len(x), k), chunks=4)
+    _, stats = search_in_pieces(t, x, k, SearchPlan.verify_all(len(x), k), pieces=4)
     info = rotation_screen.cache_info()
-    assert info.misses == 1 and info.hits + info.misses == 4 < stats.windows_verified
+    verified = sum(st.windows_verified for st in stats)
+    assert info.misses == 1 and info.hits + info.misses == 4 < verified
 
 
 def test_filter_search_that_verifies_nothing_builds_no_screen():

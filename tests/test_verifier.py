@@ -12,8 +12,8 @@ from circmatch import (
     build_index,
     plan,
     search,
-    verify_block,
 )
+from circmatch.bitparallel import rotation_screen
 from circmatch.reference import (
     WorkTally,
     dedup_occurrences,
@@ -21,7 +21,6 @@ from circmatch.reference import (
     rotate,
     verify_block_waves,
 )
-from circmatch.verifier import Block
 from helpers import (
     boundary_blocks,
     brute_block_occurrences,
@@ -61,24 +60,31 @@ def test_dedup_sorts_by_start_then_rotation():
     ]
 
 
+def screen_block(x: bytes, k: int, block: bytes) -> list[Occurrence]:
+    """The rows `search` reports for a run whose slice is `block`: every
+    occurrence starting in its first min(m - k, len(block)) positions."""
+    starts = min(len(x) - k, len(block))
+    return [Occurrence(*o) for o in rotation_screen(x, k).occurrences(block, starts)]
+
+
 def test_verify_block_exact_match():
     # "abab" has period 2, so rotation 2 matches wherever rotation 0 does
-    got = verify_block(b"abab", 0, Block(0, b"ababxxxx"))
+    got = screen_block(b"abab", 0, b"ababxxxx")
     assert got == [Occurrence(0, 4, 0, 0), Occurrence(0, 4, 2, 0)]
-    assert got == brute_block_occurrences(b"abab", 0, Block(0, b"ababxxxx"))
+    assert got == brute_block_occurrences(b"abab", 0, b"ababxxxx")
 
 
 def test_verify_block_unary():
-    got = verify_block(b"aaaa", 0, Block(0, b"aaaaaaaa"))
+    got = screen_block(b"aaaa", 0, b"aaaaaaaa")
     assert {o.start for o in got} == {0, 1, 2, 3}
     assert all(o.length == 4 and o.distance == 0 for o in got)
-    assert got == brute_block_occurrences(b"aaaa", 0, Block(0, b"aaaaaaaa"))
+    assert got == brute_block_occurrences(b"aaaa", 0, b"aaaaaaaa")
 
 
 def test_verify_block_one_substitution():
-    block = Block(10, b"xbcdabxy")
-    got = verify_block(b"abcd", 1, block)
-    assert Occurrence(10, 4, 0, 1) in got
+    block = b"xbcdabxy"
+    got = screen_block(b"abcd", 1, block)
+    assert Occurrence(0, 4, 0, 1) in got
     assert got == brute_block_occurrences(b"abcd", 1, block)
 
 
@@ -92,25 +98,25 @@ def test_full_length_occurrence_at_last_candidate_start():
     occ_text = x[:3] + b"x" + x[3:]  # one insertion, length m+1
     data = bytes(random_string(random.Random(3), b"yz", start)) + occ_text
     data = data + b"y" * (2 * m - len(data))
-    got = verify_block(x, k, Block(0, data))
+    got = screen_block(x, k, data)
     assert any(
         o.start == start and o.rotation == 0 and o.length == m + k for o in got
     )
 
 
 def test_verify_block_empty_result():
-    assert verify_block(b"abc", 0, Block(0, b"zzzzzz")) == []
+    assert screen_block(b"abc", 0, b"zzzzzz") == []
+    # a block with no letters has no candidate start
+    assert screen_block(b"abc", 0, b"") == verify_block_waves(b"abc", 0, b"") == []
 
 
 def test_verify_block_validates_inputs():
     with pytest.raises(ValueError):
-        verify_block(b"", 0, Block(0, b"ab"))
+        screen_block(b"", 0, b"ab")
     with pytest.raises(ValueError):
-        verify_block(b"ab", 2, Block(0, b"ab"))
+        screen_block(b"ab", 2, b"ab")
     with pytest.raises(ValueError):
-        verify_block_waves(b"ab", 2, Block(0, b"ab"))
-    with pytest.raises(ValueError):
-        Block(0, b"")
+        verify_block_waves(b"ab", 2, b"ab")
 
 
 def test_engines_agree_with_brute_force():
@@ -122,10 +128,9 @@ def test_engines_agree_with_brute_force():
         letters = letters_for(sigma)
         x = random_string(rng, letters, m)
         data = random_string(rng, letters, rng.randint(1, 2 * m))
-        block = Block(rng.randint(0, 9), data)
-        ref = brute_block_occurrences(x, k, block)
-        assert verify_block(x, k, block) == ref
-        assert verify_block_waves(x, k, block) == ref
+        ref = brute_block_occurrences(x, k, data)
+        assert screen_block(x, k, data) == ref
+        assert verify_block_waves(x, k, data) == ref
 
 
 def test_soundness_on_planted_blocks():
@@ -142,9 +147,9 @@ def test_soundness_on_planted_blocks():
         data = bytearray(random_string(rng, letters, 2 * m))
         rot = rotate(x, rng.randrange(m))
         data[: len(rot)] = rot
-        block = Block(0, bytes(data[: 2 * m]))
-        for o in verify_block(x, k, block):
-            factor = block.data[o.start : o.start + o.length]
+        block = bytes(data[: 2 * m])
+        for o in screen_block(x, k, block):
+            factor = block[o.start : o.start + o.length]
             assert full_edit_distance(rotate(x, o.rotation), factor).distance == o.distance
             assert o.distance <= k
 
@@ -154,8 +159,8 @@ def test_wave_engine_tally_is_deterministic():
     x = random_string(rng, b"abcd", 16)
     data = random_string(rng, b"abcd", 32)
     t1, t2 = WorkTally(), WorkTally()
-    verify_block_waves(x, 2, Block(0, data), t1)
-    verify_block_waves(x, 2, Block(0, data), t2)
+    verify_block_waves(x, 2, data, t1)
+    verify_block_waves(x, 2, data, t2)
     assert t1.wave_updates == t2.wave_updates > 0
 
 
@@ -184,12 +189,12 @@ def block_cases(draw):
         data = bytes(data)
     else:
         data = bytes(draw(st.lists(st.sampled_from(b"abcz"), min_size=n, max_size=n)))
-    return x, k, Block(draw(st.integers(0, 50)), data)
+    return x, k, data
 
 
 def with_boundary_examples(test):
     for x, k, data in boundary_blocks():
-        test = example((x, k, Block(7, data)))(test)
+        test = example((x, k, data))(test)
     return test
 
 
@@ -198,7 +203,7 @@ def with_boundary_examples(test):
 @with_boundary_examples
 def test_verify_block_matches_brute_force_property(case):
     x, k, block = case
-    assert verify_block(x, k, block) == brute_block_occurrences(x, k, block)
+    assert screen_block(x, k, block) == brute_block_occurrences(x, k, block)
 
 
 def test_verify_and_search_do_not_use_band_pass(monkeypatch):
@@ -223,8 +228,8 @@ def test_verify_and_search_do_not_use_band_pass(monkeypatch):
         for _ in range(rng.randint(0, 4)):
             t[rng.randrange(len(t))] = rng.choice(b"abz")
         t = bytes(t)
-        block = Block(0, t[: 2 * m])
-        assert verify_block(x, k, block) == brute_block_occurrences(x, k, block)
+        block = t[: 2 * m]
+        assert screen_block(x, k, block) == brute_block_occurrences(x, k, block)
         want = brute_search(t, x, k)
         assert search(t, x, k, SearchPlan.verify_all(m, k))[0] == want
         p = plan(m, k, a, epsilon=0.9, max_index_entries=256, max_index_work=1 << 20)
