@@ -132,12 +132,18 @@ def _plan_and_index(args, pattern, alphabet):
 def _search_and_emit(args, pattern, records, pln, idx) -> int:
     """Write each record's rows, then the --stats block summed over the
     records, as bytes, so that a record name prints as it was read; 0 when
-    a row was written, else 1."""
+    a row was written, else 1.  A stdout without a byte buffer, such as an
+    io.StringIO under contextlib.redirect_stdout, gets each chunk decoded
+    as latin-1, one character a byte."""
     if pln is None:
         from .reference import oracle_search
-    out = sys.stdout.buffer
+    out = sys.stdout
+    if hasattr(out, "buffer"):
+        write = out.buffer.write
+    else:
+        write = lambda chunk: out.write(chunk.decode("latin-1"))  # noqa: E731
     if args.header:
-        out.write(b"record\tstart\tlength\trotation\tdistance\n")
+        write(b"record\tstart\tlength\trotation\tdistance\n")
     total = SearchStats()
     # the --stats lines, in the order SearchStats sets its fields
     counters = [field for field in vars(total) if field != "skips"]
@@ -150,10 +156,10 @@ def _search_and_emit(args, pattern, records, pln, idx) -> int:
         for field in counters:
             setattr(total, field, getattr(total, field) + getattr(st, field))
         for o in occs:
-            out.write(b"%s\t%d\t%d\t%d\t%d\n" % (name, o.start, o.length, o.rotation, o.distance))
+            write(b"%s\t%d\t%d\t%d\t%d\n" % (name, o.start, o.length, o.rotation, o.distance))
     if args.stats:
-        out.write(f"# mode={args.mode if pln is None else pln.mode}\n".encode())
-        out.writelines(f"# {field}={getattr(total, field)}\n".encode() for field in counters)
+        write(f"# mode={args.mode if pln is None else pln.mode}\n".encode())
+        write("".join(f"# {field}={getattr(total, field)}\n" for field in counters).encode())
     return 0 if total.occurrences_reported else 1
 
 

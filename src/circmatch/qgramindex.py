@@ -8,9 +8,7 @@ exceed q.  M[code] then lower-bounds the distance between that gram and
 anything inside any rotation, which is what makes discarding windows on
 summed lookups safe.
 
-The entry is the least score of a free-start Myers search (J. ACM 1999)
-with the gram g as the pattern, the score starting at q for the empty
-factor.  Its text need not be all 2m - 1 letters of x + x[:-1].  Take a
+The builder need not read all 2m - 1 letters of x + x[:-1].  Take a
 shortest factor f at the least distance d < q and an optimal alignment of
 g with f.  Neither end letter of f is inserted, since dropping it would
 cost one less, so each letter of f is aligned to a gram letter or
@@ -24,31 +22,44 @@ front and j = q - 2 at the back (q >= 3) the two parts cover every gap
 between gram letters, so at most q - 3 letters of f are inserted (none
 for q <= 2), and |f| <= L = max(q, 2q - 3).  A factor of x + x[:-1] that
 short which starts in its second copy of x also occurs in x, so every one
-occurs in x + x[:min(m, L) - 1], and the pass reads m + min(m, L) - 1
+occurs in x + x[:min(m, L) - 1], and the build reads m + min(m, L) - 1
 letters instead of 2m - 1.  The bound is tight: one letter fewer loses
 the factor x[m-1] + x[:L-1], which can be the only one at the least
 distance (tests/test_qgramindex.py has a case for q = 2, 3 and 4).
 
-The builder runs that search for all grams at once, packed as in Hyyro,
-Fredriksson & Navarro (JEA 2005), one step per letter of the text:
+Reversing both strings keeps every distance, so the builder reads that
+text reversed, xr of n letters, and each gram from its last letter.  For
+a gram suffix s, D_s[j] is the least distance from s reversed to a factor
+of xr ending after its first j letters, E(s) = min D_s, and a letter c
+put in front gives D_cs[0] = |s| + 1 and, for j >= 1,
 
-  * gram code g is field g of q + 1 bits; bit i holds letter i of the gram
-    and the top bit is a guard, which stops carries and shifts at the field;
-  * 0 is shifted into hp, so an alignment may start at any letter;
-  * a second packed int keeps each field's least score so far.  With its
-    guard bits set, subtracting the scores leaves a guard bit exactly where
-    the least score is not below the new one, and that bit selects the
-    field's low bits for replacement;
-  * the entries are read out as bit planes of a binary string, one byte per
-    field, with no Python loop per gram.
+  D_cs[j] = min(D_s[j-1] + [xr[j-1] != c], D_s[j] + 1, D_cs[j-1] + 1).
 
-A pass packs at most FIELDS_PER_PASS grams: the grams sharing their first
-letters, in code order, so memory stays bounded under a large q.
+A trie node at level i is a suffix of i letters, coded with its first
+letter most significant, so level i is sigma blocks of level i - 1, one
+per letter in order.  For each t < i it keeps a lane of w >= n + 2 bits,
+whole bytes, holding the columns j with D_s[j] <= t (Wu & Manber, CACM
+1992); for t >= i that is every column.  With P level i - 1 replicated
+sigma times, one int a threshold,
 
-The scan looks a gram up by its two halves: the first q // 2 letters map
-to their code times sigma^(q - q // 2), the rest to their code, so the
-gram's entry is entries[left + right].  A half holding a letter outside
-the alphabet is in neither table.
+  child[t] = (((P[t] & N) | ((P[t-1] | child[t-1]) & R)) << 1) | P[t-1]
+
+where N marks the columns j with xr[j] == c in letter c's block and R the
+columns below n: a match, a substitution or an inserted text letter
+moves a column on, a deleted gram letter keeps it.
+
+The first gram letter needs no lanes: E(cs) = E(s) if xr[j] == c at a
+least column j of s (D_s[j] = E(s)), else E(s) + 1.  Deleting c costs
+one, and by induction on j every term of the recurrence is at least E(s)
+with only a match able to equal it: a gram reaches its suffix's distance
+only through a match at one of the suffix's least columns.  So level
+q - 1 gives every entry: per node, its first nonempty lane (or every
+column) meets each letter's N, a carry flags a hit, and each entry sits
+in its lane's low byte, which one bytes slice reads out.
+
+A pass holds at most PASS_BITS bits an int: above that, each pass fixes
+the grams' last d letters, the least d that fits, and so the trie node v
+at depth d, and writes entries[v::sigma**d].
 """
 
 from __future__ import annotations
@@ -75,9 +86,8 @@ OLD_MAGIC = b"CIRCIDX1"
 DIGEST_LEN = 32
 DEFAULT_MAX_ENTRIES = 1 << 26
 DEFAULT_MAX_WORK = 1 << 29
-# grams packed into one pass of the builder; its ints are at most
-# FIELDS_PER_PASS * (q + 1) bits whatever q is
-FIELDS_PER_PASS = 1 << 16
+# the most bits of an int in one pass of the builder; 32 KiB stays in cache
+PASS_BITS = 1 << 18
 
 
 class IndexBudgetError(MemoryError):
@@ -121,7 +131,8 @@ class QGramIndex:
     def halves(self) -> tuple[dict[bytes, int], dict[bytes, int]]:
         """(left, right): the raw bytes of the first q // 2 letters of a
         gram -> their code times sigma^(q - q // 2), and the bytes of the
-        other letters -> their code.  Built on first use, once per index."""
+        other letters -> their code, so a gram's entry is entries[left +
+        right]; a foreign letter is in neither.  Built on first use, once."""
         h = self.q // 2
         return (
             _half_codes(self.alphabet.letters, h, self.alphabet.size ** (self.q - h)),
@@ -183,57 +194,31 @@ def _half_codes(letters: bytes, length: int, scale: int) -> dict[bytes, int]:
 
 def _repeat(v: int, period: int, count: int) -> int:
     """`count` copies of v, `period` bits apart, by shift-and-or doublings."""
-    out = pos = 0
-    while count:
-        if count & 1:
-            out |= v << pos
-            pos += period
-        v |= v << period
-        period *= 2
-        count >>= 1
+    out, done = v, 1
+    while 2 * done <= count:
+        out |= out << (done * period)
+        done *= 2
+    if done < count:
+        out |= _repeat(v, period, count - done) << (done * period)
     return out
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary string's digits as bytes 0 and 1
-
-
-def _least_scores(xp: bytes, peq: list[int], ones: int, q: int, fields: int) -> bytes:
-    """One free-start Myers pass over xp with a gram in each field: the
-    least score of every field, one byte per field."""
-    w = q + 1
-    mask = ones * ((1 << q) - 1)
-    high, guard, shift = ones << (q - 1), ones << q, q - 1
-    vp, vn = mask, 0
-    score = ones * q  # the empty factor
-    best = score | guard  # the least scores so far, guard bits kept set
-    for ch in xp:
-        x = peq[ch] | vn
-        d0 = ((((x & vp) + vp) & mask) ^ vp) | x
-        hp = vn | ((d0 | vp) ^ mask)
-        hn = vp & d0
-        score += ((hp & high) - (hn & high)) >> shift
-        hps = hp << 1  # 0 shifted in: an alignment may start anywhere
-        vn = hps & d0
-        vp = ((hn << 1) | ((d0 | hps) ^ mask)) & mask
-        # a field keeps its guard bit where best >= score, and then takes
-        # the score through the low bits g - (g >> q)
-        g = (best - score) & guard
-        best ^= (best ^ score) & (g - (g >> q))
-    # bit b of field f is bits[f * w + b]; the entries are at most q, so the
-    # planes up to q.bit_length() add up to one byte per field
-    bits = format(best ^ guard, f"0{fields * w}b").encode().translate(_BITS)[::-1]
-    total = 0
-    for b in range(q.bit_length()):
-        total += int.from_bytes(bits[b::w], "little") << b
-    return total.to_bytes(fields, "little")
+def _children(lanes: list[int], near: int, below: int, full: int, span: int, count: int):
+    """The lanes of the level below, from `lanes` replicated `count` times,
+    `span` bits apart: `near` is N, `below` is R, `full` every column."""
+    out, prev, child = [], 0, 0
+    for p in [*(_repeat(v, span, count) for v in lanes), full]:
+        child = (((p & near) | ((prev | child) & below)) << 1) | prev
+        out.append(child)
+        prev = p
+    return out
 
 
 def build_index(
     x: str | bytes, q: int, a: Alphabet, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> QGramIndex:
     """Index of minimum distances from every q-gram to the factors of the
-    doubled pattern, by one packed pass over m + min(m, max(q, 2q - 3)) - 1
-    letters.
+    doubled pattern, built level by level over the trie of gram suffixes.
 
     Requires 1 <= q < len(x) and sigma^q within the entry budget.
     """
@@ -250,31 +235,46 @@ def build_index(
             f"{sigma}^{q} = {total} index entries exceed the budget of {max_entries}",
             required=total,
         )
-    # x and its first min(m, L) - 1 letters again hold every factor that
-    # can attain an entry, with L = max(q, 2q - 3) (module docstring)
-    xp = xb + xb[: min(m, max(q, 2 * q - 3)) - 1]
-    # a pass packs the sigma^j grams that share their first q - j letters
-    j = 0
-    while j < q and sigma ** (j + 1) <= FIELDS_PER_PASS:
-        j += 1
-    fields, lead, w = sigma**j, q - j, q + 1
-    ones = _repeat(1, w, fields)  # bit 0 of every field
-    # tail[ch]: bit i of every field whose letter i (i >= lead) is ch.  Letter
-    # i stays the same over runs of sigma^(q-1-i) fields; `first` marks the
-    # runs of the alphabet's first letter, and those of the d-th start d
-    # runs later
-    tail = dict.fromkeys(a.letters, 0)
-    for i in range(lead, q):
-        run = sigma ** (q - 1 - i)
-        first = _repeat(_repeat(1 << i, w, run), sigma * run * w, sigma ** (i - lead))
-        for d, ch in enumerate(a.letters):
-            tail[ch] |= first << (d * run * w)
-    parts = []
-    for prefix in itertools.product(a.letters, repeat=lead):
-        peq = [0] * 256  # a letter outside the alphabet matches no gram
-        for ch, bits in tail.items():
-            peq[ch] = bits
-        for i, ch in enumerate(prefix):
-            peq[ch] |= ones << i
-        parts.append(_least_scores(xp, peq, ones, q, fields))
-    return QGramIndex(q=q, alphabet=a, entries=b"".join(parts), digest=pattern_digest(xb))
+    # x and its first min(m, L) - 1 letters again, reversed, hold every
+    # factor that can attain an entry, with L = max(q, 2q - 3)
+    xr = (xb + xb[: min(m, max(q, 2 * q - 3)) - 1])[::-1]
+    n = len(xr)
+    w = (n + 9) // 8 * 8  # columns 0 .. n and a carry bit, in whole bytes
+    col = (1 << (n + 1)) - 1  # every column of one lane
+    near = dict.fromkeys(a.letters, 0)  # a letter outside the alphabet is in none
+    for j, ch in enumerate(xr):
+        if ch in near:
+            near[ch] |= 1 << j
+    d = 0
+    while d < q - 1 and sigma ** (q - 1 - d) * w > PASS_BITS:
+        d += 1
+    # every pass shares the masks of levels d + 1 .. q - 1
+    levels, nodes, full = [], 1, col
+    for _ in range(d + 1, q):
+        span = nodes * w
+        block = sum(near[ch] << (b * span) for b, ch in enumerate(a.letters))
+        near = {ch: _repeat(bits, span, sigma) for ch, bits in near.items()}
+        nodes, full = nodes * sigma, _repeat(full, span, sigma)
+        levels.append((block, (full >> 1) & full, full, span))
+    ones = _repeat(1, w, nodes)
+    top, low = ones << (w - 1), (ones << (w - 1)) - ones  # carry bits, the bits below
+    entries = bytearray(total)
+    for v, path in enumerate(itertools.product(a.letters, repeat=d)):
+        lanes = []
+        for ch in reversed(path):
+            lanes = _children(lanes, near[ch] & col, col >> 1, col, w, 1)  # near's lane 0
+        for level in levels:
+            lanes = _children(lanes, *level, sigma)
+        # least: each node's first nonempty lane; e: q + 1 less one per nonempty lane
+        least, open_, e = 0, low, ones * (q + 1)
+        for lane in [*lanes, full]:
+            least |= lane & open_
+            some = (lane + low) & top
+            e -= some >> (w - 1)
+            open_ = low ^ (some - (some >> (w - 1)))
+        parts = []
+        for ch in a.letters:
+            hit = ((least & near[ch]) + low) & top
+            parts.append((e - (hit >> (w - 1))).to_bytes(nodes * w // 8, "little")[:: w // 8])
+        entries[v :: sigma**d] = b"".join(parts)
+    return QGramIndex(q=q, alphabet=a, entries=bytes(entries), digest=pattern_digest(xb))

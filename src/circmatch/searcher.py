@@ -146,9 +146,10 @@ def _best_c(m: int, k: int, q: int, sigma: int, epsilon: float) -> tuple[float, 
 def _q_caps(m: int, sigma: int, max_entries: int, max_work: int) -> int:
     """Largest q whose index fits both the entry and the build-work budget.
 
-    The work term is a planning bound kept unchanged on purpose: it models
-    an older window-matrix builder, not the packed build of `build_index`,
-    but changing it would move plans, and with them q and every scan
+    The work term, sigma^q (2m - q)(2q + 1) sigma, is a planning bound,
+    not a cost model of `build_index`, whose level-by-level trie build
+    costs about q sigma^(q-1) lane bits per text column; it stays as it is
+    because changing it would move plans, and with them q and every scan
     counter.  Recalibrating it belongs to choosing plans by cost.
     """
     q = 0

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import random
@@ -541,6 +542,21 @@ def test_cli_prints_record_names_byte_for_byte(tmp_path, encoding):
         env=env, capture_output=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"r\xe9\t2\t12\t0\t0\n", b"")
+
+
+def test_cli_writes_to_a_text_only_stdout(tmp_path, capfdbinary):
+    # an io.StringIO under redirect_stdout has no byte buffer: it gets the
+    # same rows, header and --stats block, each byte one latin-1 character
+    fa = tmp_path / "t.fa"
+    fa.write_bytes(b">r\xe9\nTTACGTACGTTGCATT\n>s\nGGTTGCAACGTACGGG\n")
+    argv = ["--pattern", "ACGTACGTTGCA", "--text", str(fa), "-k", "1", "--header", "--stats"]
+    assert main(argv) == 0
+    sys.stdout.flush()
+    want = capfdbinary.readouterr().out
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert want.count(b"\n") > 4 and out.getvalue() == want.decode("latin-1")
 
 
 def test_cli_bench_subcommand(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,10 +116,14 @@ def index_cases(draw):
         q_max += 1
     q = draw(st.integers(1, q_max))
     letters = letters_for(sigma)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["repeated", "random", "foreign"]))
+    if kind == "repeated":
         x = bytes([draw(st.sampled_from(letters))]) * m
     else:
-        x = bytes(draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m)))
+        # a pattern letter outside the alphabet, as the CLI accepts
+        # without --strict, matches no gram letter
+        pool = letters + b"N" if kind == "foreign" else letters
+        x = bytes(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
     return letters, x, q
 
 
@@ -131,9 +136,12 @@ def index_cases(draw):
 @example((letters_for(20), b"ta", 1))  # m = 2, sigma = 20
 @example((b"abc", b"cacbb", 4))  # needs a pattern letter skipped at row 2
 @example((b"ab", b"baabbbaabb", 8))  # needs two pattern letters skipped in a row
+@example((b"ACGT", b"ACNGTNA", 4))  # foreign letters inside the pattern
+@example((b"ACGT", b"NNNACG", 3))  # a foreign run across the rotation seam
+@example((b"ACGT", b"NNNNN", 2))  # no pattern letter in the alphabet
 def test_build_matches_brute_force_property(case):
     # brute_force_index scores every factor with full_edit_distance, so it
-    # shares no kernel with the packed builder
+    # shares no kernel with the trie builder
     letters, x, q = case
     a = build_alphabet(letters)
     assert build_index(x, q, a) == brute_force_index(x, q, a)
@@ -141,19 +149,36 @@ def test_build_matches_brute_force_property(case):
 
 @pytest.mark.parametrize("letters_per_pass", [1, 2])
 def test_split_build_matches_default(monkeypatch, letters_per_pass):
-    # with sigma or sigma^2 grams a pass, q = 6 takes 4^5 or 4^4 passes, each
-    # for the grams of one prefix; q = 3 is small enough for brute force
+    # lanes are 80 bits wide for the 64-letter pattern at q = 6 and 32 bits
+    # for its first 20 letters at q = 4, so ints of 80 * 4^j bits split q = 6
+    # into 4^(5 - j) passes of 4^j nodes a level above the grams, and q = 4
+    # into 4^(3 - j) passes of 4^j; q = 4 is small enough for brute force
     rng = random.Random(64)
     a = build_alphabet("ACGT")
     x = random_string(rng, b"ACGT", 64)
-    whole = build_index(x, 6, a), build_index(x[:20], 3, a)
-    monkeypatch.setattr(qgramindex, "FIELDS_PER_PASS", a.size**letters_per_pass)
-    assert (build_index(x, 6, a), build_index(x[:20], 3, a)) == whole
-    assert whole[1] == brute_force_index(x[:20], 3, a)
+    whole = build_index(x, 6, a), build_index(x[:20], 4, a)
+    monkeypatch.setattr(qgramindex, "PASS_BITS", 80 * a.size**letters_per_pass)
+    assert (build_index(x, 6, a), build_index(x[:20], 4, a)) == whole
+    assert whole[1] == brute_force_index(x[:20], 4, a)
 
 
-# sha256 of `entries` for seeded DNA patterns, from the vectorized trie
-# builder this one replaced; q = 9 splits into four passes
+def test_build_memory_stays_within_pass_budget():
+    # at q = 10 and m = 64 a level of 4^9 nodes, 88 bits each, would make
+    # 2.9 MB ints; passes keep every int within PASS_BITS, so the build
+    # holds little beyond the entries and their bytes copy
+    x = random_string(random.Random(10), b"ACGT", 64)
+    tracemalloc.start()
+    try:
+        idx = build_index(x, 10, build_alphabet("ACGT"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(idx.entries) <= 10
+    assert peak < 2 * 4**10 + 40 * qgramindex.PASS_BITS // 8
+
+
+# sha256 of `entries` for seeded DNA patterns, pinned from an earlier
+# numpy trie builder; q = 9 splits into 16 passes of 4^6 nodes
 ENTRY_DIGESTS = [
     (7, 48, 7, "5d9c58c03915b2dc5a78ffca029828191f0725e834ddeaddd2fa9f92e667e84f"),
     (8, 64, 8, "7a7d8969b091d9f8e72a06e686c004b20c957dd9bcffc5a4702d7c6de37f4995"),
@@ -167,10 +192,17 @@ def test_entries_match_pinned_digest(seed, m, q, digest):
     assert hashlib.sha256(build_index(x, q, build_alphabet("ACGT")).entries).hexdigest() == digest
 
 
-def test_global_start_mutant_fails():
-    # shifting a 1 into hp anchors every alignment at the pattern's first
-    # letter, so grams that only match later factors score too high
-    mutant = load_mutant(qgramindex, "hps = hp << 1", "hps = (hp << 1) | ones")
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # a deleted gram letter costs one and keeps the column
+        pytest.param("<< 1) | prev", "<< 1)", id="no-deletion"),
+        # the first gram letter adds one even where it matches a least column
+        pytest.param("(e - (hit >> (w - 1)))", "e", id="first-letter-always-adds-one"),
+    ],
+)
+def test_kernel_mutant_fails(old, new):
+    mutant = load_mutant(qgramindex, old, new)
     a = build_alphabet("ACGT")
     x = random_string(random.Random(8), b"ACGT", 32)
     assert mutant.build_index(x, 3, a) != brute_force_index(x, 3, a)
