@@ -6,12 +6,12 @@ seeded with x is
     out(x, s, i) = mix64(x + s*0xD1B54A32D192ED03 + (i+1)*0x9E3779B97F4A7C15)
 
 where mix64 is the standard splitmix64 finalizer.  Everything is mod 2**64.
-The formula is spelled out so that tables can be reproduced outside Python.
+The formula is spelled out so that tables can be reproduced outside Python;
+here it is computed one output at a time with Python ints, so the driver
+needs only the standard library.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -33,20 +33,12 @@ def splitmix64_at(seed: int, stream: int, i: int) -> int:
     return mix64(seed + stream * _STREAM + (i + 1) * _GOLDEN)
 
 
-def splitmix64_block(seed: int, stream: int, count: int) -> np.ndarray:
-    """Vectorized equivalent of splitmix64_at for i in [0, count)."""
-    base = np.uint64((seed + stream * _STREAM) & _MASK)
-    z = base + (np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
-
-
 def random_letters(seed: int, stream: int, count: int, sigma: int) -> bytes:
-    """count letters drawn from an alphabet of byte values 0..sigma-1.
+    """count letters drawn from an alphabet of byte values 0..sigma-1:
+    letter i is splitmix64_at(seed, stream, i) % sigma.
 
-    Uses out % sigma; the modulo bias is below sigma/2**64 and irrelevant
-    for benchmarking purposes.
+    The modulo bias is below sigma/2**64 and irrelevant for benchmarking
+    purposes.
     """
-    words = splitmix64_block(seed, stream, count)
-    return (words % np.uint64(sigma)).astype(np.uint8).tobytes()
+    base = seed + stream * _STREAM
+    return bytes(mix64(base + i * _GOLDEN) % sigma for i in range(1, count + 1))

@@ -1,5 +1,10 @@
 """Benchmark driver: seeded random texts, parameter sweeps, scan-cost tables.
 
+`circmatch bench` runs `main`.  Each search is planned and indexed with
+the defaults of `plan` and `build_index`, as the search CLI plans it, so
+a table shows the plans that users get.  The driver needs only the
+standard library.
+
 Text and pattern letters come from the splitmix64 streams in _prng, so a
 table is reproducible from (seed, sigma, n, pairs, reps) alone, in any
 implementation of the same generator.  Stream assignment:
@@ -12,8 +17,10 @@ Letters are byte values 0..sigma-1.
 
 from __future__ import annotations
 
+import argparse
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._prng import random_letters
 from .alphabet import Alphabet
@@ -30,14 +37,14 @@ class Experiment:
     pairs: tuple  # ((m, k), ...)
     reps: int = 1
     mode: str = "auto"  # "auto" (plan decides) or "verify-all"
-    max_index_entries: int = 1 << 20
-    max_index_work: int = 1 << 28
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if self.sigma < 2:
-            raise ValueError("sigma must be at least 2")
+        if not 2 <= self.sigma <= 255:
+            raise ValueError("sigma must lie in [2, 255], the alphabet sizes circmatch takes")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
 
 
 @dataclass
@@ -61,40 +68,26 @@ def run_experiment(e: Experiment) -> list[BenchRow]:
         rate_sum = 0.0
         chars_sum = 0.0
         wall = 0.0
-        mode = None
-        q = c = None
         for r in range(e.reps):
             pattern = random_letters(e.seed, 2000 + 100 * r + pi, m, e.sigma)
             t0 = time.perf_counter()
             if e.mode == "verify-all":
                 pln = SearchPlan.verify_all(m, k)
-                idx = None
             else:
-                pln = make_plan(
-                    m,
-                    k,
-                    alphabet,
-                    max_index_entries=e.max_index_entries,
-                    max_index_work=e.max_index_work,
-                )
-                idx = (
-                    build_index(pattern, pln.q, alphabet, max_entries=e.max_index_entries)
-                    if pln.mode == "filter"
-                    else None
-                )
+                pln = make_plan(m, k, alphabet)
+            idx = build_index(pattern, pln.q, alphabet) if pln.mode == "filter" else None
             _occs, stats = search(texts[r], pattern, k, pln, idx)
             wall += time.perf_counter() - t0
             examined = max(stats.windows_examined, 1)
             rate_sum += stats.windows_verified / examined
             chars_sum += stats.chars_inspected / e.n
-            mode, q, c = pln.mode, pln.q, pln.c
         rows.append(
             BenchRow(
                 m=m,
                 k=k,
-                mode=mode,
-                q=q,
-                c=c,
+                mode=pln.mode,  # the same plan on every repetition
+                q=pln.q,
+                c=pln.c,
                 windows_verified_rate=rate_sum / e.reps,
                 chars_per_text_char=chars_sum / e.reps,
                 wall_time=wall / e.reps,
@@ -121,3 +114,39 @@ def format_table(rows: list[BenchRow]) -> str:
             )
         )
     return "\n".join(out) + "\n"
+
+
+def _parse_pairs(arg: str) -> tuple[tuple[int, int], ...]:
+    """The (m, k) pairs of a comma-separated list of M:K items."""
+    pairs = []
+    for item in arg.split(","):
+        try:
+            m, k = map(int, item.split(":"))
+        except ValueError:
+            raise ValueError(f"pair {item!r} must be M:K with integers M and K") from None
+        pairs.append((m, k))
+    return tuple(pairs)
+
+
+def main(argv: list[str]) -> int:
+    """`circmatch bench`: print one experiment's table; exit 2 with one
+    line for arguments it refuses."""
+    p = argparse.ArgumentParser(prog="circmatch bench", description="Scan-cost benchmark driver.")
+    p.add_argument("--sigma", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--pairs", required=True, help="comma-separated m:k pairs, e.g. 64:2,128:4")
+    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=["auto", "verify-all"], default="auto")
+    args = p.parse_args(argv)
+    try:
+        exp = Experiment(
+            seed=args.seed, sigma=args.sigma, n=args.n, pairs=_parse_pairs(args.pairs),
+            reps=args.reps, mode=args.mode,
+        )
+        table = format_table(run_experiment(exp))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(table)
+    return 0

@@ -79,13 +79,11 @@ def _checked_inputs(args, pattern, records):
         raise ValueError(f"k={args.k} must be smaller than the pattern length {m}")
     alphabet = build_alphabet(spec, data=[pattern] + [seq for _, seq in records])
     if args.strict:
-        for name, seq in records:
+        named = [(f"record {name.decode('latin-1')!r}", seq) for name, seq in records]
+        for what, seq in [("the pattern", pattern), *named]:
             for ch in set(seq):
                 if alphabet.rank(ch) is None:
-                    raise ValueError(
-                        f"record {name.decode('latin-1')!r} contains letter {chr(ch)!r} "
-                        "outside the alphabet"
-                    )
+                    raise ValueError(f"{what} contains letter {chr(ch)!r} outside the alphabet")
     check_overrides(m, args.q, args.c, args.epsilon)
     if args.mode == "oracle":
         for name, seq in records:
@@ -242,41 +240,11 @@ def _search_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _bench_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="circmatch bench", description="Scan-cost benchmark driver.")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pairs", required=True, help="comma-separated m:k pairs, e.g. 64:2,128:4")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["auto", "verify-all"], default="auto")
-    return p
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "bench":
-        # imported here: the benchmark's generator needs numpy
-        try:
-            from .bench import Experiment, format_table, run_experiment
-        except ModuleNotFoundError as exc:
-            print(f"error: circmatch bench needs {NEEDS_NUMPY}: {exc}", file=sys.stderr)
-            return 2
-
-        args = _bench_parser().parse_args(argv[1:])
-        try:
-            pairs = tuple(
-                (int(mk.split(":")[0]), int(mk.split(":")[1])) for mk in args.pairs.split(",")
-            )
-            exp = Experiment(
-                seed=args.seed, sigma=args.sigma, n=args.n, pairs=pairs,
-                reps=args.reps, mode=args.mode,
-            )
-            sys.stdout.write(format_table(run_experiment(exp)))
-        except (ValueError, PlanError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
+        from .bench import main as bench_main
+        return bench_main(argv[1:])
     args = _search_parser().parse_args(argv)
     try:
         if args.pattern is not None:

@@ -210,8 +210,6 @@ def test_criterion_7_average_case_trend():
         n=200_000,
         pairs=((32, 1), (64, 2), (128, 4), (256, 8)),
         reps=5,
-        max_index_entries=1 << 20,
-        max_index_work=1 << 29,
     )
     rows = run_experiment(exp)
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,5 @@
+import pytest
+
 from circmatch.bench import Experiment, format_table, run_experiment
 
 
@@ -41,3 +43,33 @@ def test_sublinear_inspection_on_random_text():
     row = run_experiment(e)[0]
     assert row.mode == "filter"
     assert row.chars_per_text_char < 1.0
+
+
+# the deterministic columns (m, k, mode, q, c, rate, chars) of seed 11,
+# n = 4000, pairs 16:1, 32:1 and 64:2; the letters come from the plain
+# splitmix64 formula, and these rows are those of the earlier numpy
+# generator with plan's default budgets
+PINNED_TABLES = {
+    2: """\
+16	1	verify-all	-	-	1.000000	1.000000
+32	1	filter	3	0.09	1.000000	1.483750
+64	2	filter	7	0.09	0.214286	1.352250
+""",
+    4: """\
+16	1	filter	2	0.20	0.708054	1.614000
+32	1	filter	8	0.15	0.000000	0.358000
+64	2	filter	8	0.10	0.000000	0.222000
+""",
+    20: """\
+16	1	filter	3	0.25	0.000000	0.265500
+32	1	filter	3	0.09	0.000000	0.140250
+64	2	filter	3	0.08	0.000000	0.114000
+""",
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(PINNED_TABLES))
+def test_pinned_table(sigma):
+    e = Experiment(seed=11, sigma=sigma, n=4000, pairs=((16, 1), (32, 1), (64, 2)))
+    lines = format_table(run_experiment(e)).splitlines(True)[1:]
+    assert "".join(line.rsplit("\t", 1)[0] + "\n" for line in lines) == PINNED_TABLES[sigma]

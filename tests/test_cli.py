@@ -5,13 +5,19 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
+from circmatch import bitparallel, cli, searcher
 from circmatch.bitparallel import rotation_screen
 from circmatch.cli import _records_from_bytes, main
-from helpers import brute_search, count_half_tables, plant_edited_rotation, random_string
+from helpers import (
+    brute_search, count_half_tables, load_mutant, plant_edited_rotation, random_string,
+)
 
 
 def run_cli(argv, capsys):
@@ -240,6 +246,16 @@ def test_cli_strict_rejects_foreign_letters(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "outside the alphabet" in err
+
+
+def test_cli_strict_rejects_foreign_pattern_letters(tmp_path, capsys):
+    text = tmp_path / "t.txt"
+    text.write_text("ACGTACGTAA")
+    code, out, err = run_cli(
+        ["--pattern", "ACGNA", "--text", str(text), "-k", "1", "--alphabet", "dna", "--strict"],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: the pattern contains letter 'N' outside the alphabet\n")
 
 
 def test_cli_fold_case(tmp_path, capsys):
@@ -571,6 +587,20 @@ def test_cli_bench_subcommand(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("extra, message", [
+    pytest.param(["--pairs", "16"], "pair '16' must be M:K with integers M and K", id="no-k"),
+    pytest.param(["--pairs", "16:1:3"], "pair '16:1:3' must be M:K with integers M and K",
+                 id="three-fields"),
+    pytest.param(["--pairs", "16:1", "--n", "0"], "n must be at least 1", id="n-zero"),
+    pytest.param(["--pairs", "16:1", "--n", "-5"], "n must be at least 1", id="n-negative"),
+    pytest.param(["--pairs", "16:1", "--sigma", "300"],
+                 "sigma must lie in [2, 255], the alphabet sizes circmatch takes", id="sigma-300"),
+])
+def test_cli_bench_bad_arguments_exit_2(capsys, extra, message):
+    code, out, err = run_cli(["bench", "--sigma", "4", "--n", "2000", *extra], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_oracle_mode_desk_scale_guard(tmp_path, capsys):
     text = tmp_path / "t.txt"
     text.write_text("A" * 3000)
@@ -582,7 +612,8 @@ def test_cli_oracle_mode_desk_scale_guard(tmp_path, capsys):
 
 
 def test_search_path_loads_no_numpy_reference_or_bench(tmp_path):
-    # numpy is for the oracle and the benchmark only; a fresh interpreter
+    # numpy is for the oracle only, and the benchmark is no part of a
+    # search; a fresh interpreter
     # that searches in verify-all mode, or in filter mode with an index it
     # builds and saves and then loads, never loads it, nor dataclasses and
     # inspect (about 10 ms of import), nor hashlib and OpenSSL (about 3.5 MB)
@@ -644,11 +675,10 @@ print([tuple(o) for o in occs])
 
 @pytest.mark.parametrize("argv", [
     ["--pattern", "ACGTACGTTGCA", "--text", "-", "-k", "1", "--mode", "oracle"],
-    ["bench", "--sigma", "4", "--n", "200", "--pairs", "16:1"],
 ])
 def test_numpy_modes_without_numpy_exit_2(argv):
-    # the oracle and the benchmark need numpy, which is optional: without it
-    # they stop with one line and exit 2
+    # the oracle needs numpy, which is optional: without it the run stops
+    # with one line and exit 2
     script = f"""
 import sys
 sys.modules["numpy"] = None
@@ -658,3 +688,191 @@ sys.exit(main({argv!r}))
     proc = run_python(script, input=">r1\nTTACGTACGTTGCATT\n")
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "needs numpy" in proc.stderr
+
+
+def test_bench_runs_without_numpy(capsys):
+    # the benchmark needs only the standard library: without numpy it
+    # prints the table it prints with numpy, wall_time aside
+    argv = ["bench", "--sigma", "4", "--n", "2000", "--pairs", "16:1,32:1", "--seed", "1"]
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from circmatch.cli import main
+sys.exit(main({argv!r}))
+"""
+    proc = run_python(script)
+    code, out, err = run_cli(argv, capsys)
+    assert (proc.returncode, proc.stderr) == (code, err) == (0, "")
+    without, with_numpy = ([line.rsplit("\t", 1)[0] for line in table.splitlines()]
+                           for table in (proc.stdout, out))
+    assert len(with_numpy) == 3 and without == with_numpy
+
+
+# The CLI against a plain DP: drawn inputs go through `main`, whose rows
+# and exit status must be those of the straight-line DP below, which
+# shares no code with circmatch.
+
+def plain_rows(name: bytes, t: bytes, x: bytes, k: int) -> bytes:
+    """The rows of t for pattern x: for every start p and rotation r, the
+    least edit distance from the rotation to a factor t[p:p+j], when it is
+    at most k, and the least such j."""
+    m = len(x)
+    rows = []
+    for p in range(len(t)):
+        chunk = t[p : p + m + k]  # a longer factor is more than k away
+        for r in range(m):
+            prev = list(range(len(chunk) + 1))
+            for i, a in enumerate(x[r:] + x[:r], 1):
+                cur = [i]
+                for j, b in enumerate(chunk, 1):
+                    cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a != b)))
+                prev = cur
+            d = min(prev)
+            if d <= k:
+                rows.append(b"%s\t%d\t%d\t%d\t%d\n" % (name, p, prev.index(d), r, d))
+    return b"".join(rows)
+
+
+# mostly DNA, some lower case, and N, which the dna alphabet lacks
+DRAWN_LETTERS = b"ACGTACGTACGTacgtN"
+
+
+@st.composite
+def cli_cases(draw) -> dict:
+    m = draw(st.integers(2, 12))
+    k = min(draw(st.sampled_from([0, 1, 1, 2, 3])), m - 1)  # filter plans need k <= 1 here
+    letter = st.sampled_from(DRAWN_LETTERS)
+    pattern = bytes(draw(st.lists(letter, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        pattern = pattern.lower()
+    records = []
+    for i in range(draw(st.integers(1, 3))):
+        seq = bytearray(draw(st.lists(letter, max_size=40)))
+        if draw(st.booleans()):  # plant a rotation, in the case of the pattern or upper
+            r, at = draw(st.integers(0, m - 1)), draw(st.integers(0, len(seq)))
+            rot = pattern[r:] + pattern[:r]
+            seq[at:at] = rot.upper() if draw(st.booleans()) else rot
+        records.append((b"r%d" % i, bytes(seq[:40])))
+    fasta = len(records) > 1 or draw(st.booleans())
+    if not fasta:
+        records = [(b"text", records[0][1])]
+    eol = st.sampled_from([b"\n", b"\r\n"])
+    sometimes = st.integers(0, 3).map(lambda v: v == 0)
+    blob = b""
+    for name, seq in records:
+        if fasta:
+            blob += b">" + name + draw(st.sampled_from([b"", b" a description"])) + draw(eol)
+        width = draw(st.integers(1, 40))
+        for at in range(0, len(seq), width):
+            blob += seq[at : at + width] + draw(eol)
+            if draw(sometimes):
+                blob += draw(st.sampled_from([b"\n", b"\r\n", b" \t\r\n"]))
+    return dict(
+        pattern=pattern, k=k, records=records, blob=blob,
+        mode=draw(st.sampled_from(["auto", "filter", "verify-all", "oracle"])),
+        alphabet=draw(st.sampled_from(["dna", "auto", "letters:ACGT", "letters:acgt"])),
+        fold_case=draw(st.booleans()), strict=draw(sometimes), pattern_file=draw(st.booleans()),
+        cache=draw(st.booleans()), q=draw(st.none() | st.none() | st.none() | st.integers(0, m)),
+        c=draw(st.none() | st.none() | st.none() | st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.5])),
+        epsilon=draw(st.none() | st.sampled_from([0.3, 0.8, 0.9, 0.95, 1.0])),
+    )
+
+
+def _run_main(main_fn, argv) -> tuple[int, bytes, str]:
+    out, err = io.TextIOWrapper(io.BytesIO(), write_through=True), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main_fn(argv)
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def check_cli_against_plain_dp(main_fn, case: dict) -> None:
+    pattern, k, records = case["pattern"], case["k"], case["records"]
+    m = len(pattern)
+    argv = ["-k", str(k), "--mode", case["mode"], "--alphabet", case["alphabet"]]
+    for flag in ("q", "c", "epsilon"):
+        if case[flag] is not None:
+            argv += [f"--{flag}", str(case[flag])]
+    for flag in ("fold_case", "strict"):
+        if case[flag]:
+            argv.append("--" + flag.replace("_", "-"))
+    # what the run must refuse, and what it searches
+    if case["fold_case"]:
+        pattern, records = pattern.upper(), [(name, seq.upper()) for name, seq in records]
+    data = pattern + b"".join(seq for _, seq in records)
+    if case["alphabet"] == "dna":
+        letters = b"ACGT"
+    elif case["alphabet"] == "auto":
+        letters = data
+    else:
+        letters = case["alphabet"][len("letters:") :].encode()
+        letters = letters.upper() if case["fold_case"] else letters
+    foreign = set(data) - set(letters)
+    q, c, epsilon = case["q"], case["c"], case["epsilon"]
+    # an auto alphabet of one letter is refused, though a search over it
+    # would be well defined
+    refused = len(set(letters)) < 2 or (case["strict"] and foreign) or not (
+        (q is None or 1 <= q < m)
+        and (c is None or 0 < c < 1)
+        and (epsilon is None or 0 < epsilon < 1)
+    )
+    # a filter plan the overrides or --mode filter ask for may be infeasible
+    may_refuse = case["mode"] == "filter" or (
+        case["mode"] == "auto" and (q is not None or c is not None)
+    )
+    rows = b"".join(plain_rows(name, seq, pattern, k) for name, seq in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = os.path.join(tmp, "t.fa")
+        with open(text, "wb") as fh:
+            fh.write(case["blob"])
+        argv += ["--text", text]
+        if case["pattern_file"]:
+            argv += ["--pattern-file", os.path.join(tmp, "p.fa")]
+            with open(argv[-1], "wb") as fh:
+                fh.write(b">p\r\n" + case["pattern"] + b"\r\n")
+        else:
+            argv += ["--pattern", case["pattern"].decode()]
+        if case["cache"]:
+            argv += ["--index-cache", os.path.join(tmp, "idx.bin")]
+        # with a cache, the first run builds and saves the index and the
+        # second loads it
+        for _ in range(1 + case["cache"]):
+            code, out, err = _run_main(main_fn, argv)
+            if refused or (may_refuse and code == 2):
+                assert (code, out) == (2, b"") and err.startswith("error: ")
+                assert err.count("\n") == 1
+                assert not (case["strict"] and foreign) or "outside the alphabet" in err
+            else:
+                assert (code, out, err) == (0 if rows else 1, rows, ""), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cli_cases())
+def test_cli_matches_plain_dp(case):
+    check_cli_against_plain_dp(main, case)
+
+
+@pytest.mark.parametrize("module, old, new", [
+    pytest.param(bitparallel, "data[p : p + self.m + self.k]", "data[p : p + self.m + self.k - 1]",
+                 id="length-pass-one-letter-short"),
+    pytest.param(cli, "pattern = pattern.upper()", "pattern = pattern",
+                 id="fold-case-skips-the-pattern"),
+    pytest.param(cli, 'b"".join(parts)) for', 'b"".join(parts)[:-1]) for',
+                 id="record-ends-one-letter-early"),
+])
+def test_cli_plain_dp_check_catches_mutants(monkeypatch, module, old, new):
+    mutant = load_mutant(module, old, new)
+    if module is bitparallel:
+        monkeypatch.setattr(searcher, "rotation_screen", mutant.rotation_screen)
+    mutant_main = getattr(mutant, "main", main)
+
+    def fails(case) -> bool:
+        try:
+            check_cli_against_plain_dp(mutant_main, case)
+        except (AssertionError, KeyError):  # a wrong row, or a traceback out of main
+            return True
+        return False
+
+    case = find(cli_cases(), fails, settings=settings(
+        max_examples=500, phases=[Phase.generate], derandomize=True, database=None))
+    monkeypatch.undo()
+    check_cli_against_plain_dp(main, case)  # the case the mutant fails, the program passes

@@ -1,6 +1,4 @@
-import numpy as np
-
-from circmatch._prng import mix64, random_letters, splitmix64_at, splitmix64_block
+from circmatch._prng import mix64, random_letters, splitmix64_at
 
 
 def test_known_first_output():
@@ -9,10 +7,13 @@ def test_known_first_output():
     assert splitmix64_at(0, 0, 0) == 0xE220A8397B1DCDAF
 
 
-def test_vector_matches_scalar():
-    block = splitmix64_block(12345, 7, 64)
-    for i in range(64):
-        assert int(block[i]) == splitmix64_at(12345, 7, i)
+def test_letters_match_scalar():
+    # letter i is output i of the documented formula, reduced mod sigma
+    for sigma in (2, 4, 20, 255):
+        letters = random_letters(12345, 7, 300, sigma)
+        assert len(letters) == 300
+        for i, letter in enumerate(letters):
+            assert letter == splitmix64_at(12345, 7, i) % sigma, (sigma, i)
 
 
 def test_letters_deterministic_and_in_range():
@@ -21,7 +22,3 @@ def test_letters_deterministic_and_in_range():
     assert a == b
     assert set(a) <= {0, 1, 2, 3}
     assert random_letters(99, 4, 1000, 4) != a
-
-
-def test_block_dtype():
-    assert splitmix64_block(1, 1, 8).dtype == np.uint64
