@@ -28,8 +28,6 @@ class Alphabet:
             raise AlphabetError("alphabet must not be empty")
         if len(set(letters)) != len(letters):
             raise AlphabetError("duplicate letter in alphabet")
-        if len(letters) < 2:
-            raise AlphabetError("alphabet needs at least two letters")
         if len(letters) > 255:
             raise AlphabetError("alphabets larger than 255 letters are not supported")
         table = bytearray([FOREIGN]) * 256

@@ -42,7 +42,7 @@ class Experiment:
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 2 <= self.sigma <= 255:
-            raise ValueError("sigma must lie in [2, 255], the alphabet sizes circmatch takes")
+            raise ValueError("sigma must lie in [2, 255]: one letter leaves no filter to measure")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 

@@ -142,23 +142,22 @@ def _search_and_emit(args, pattern, records, pln, idx) -> int:
         write = lambda chunk: out.write(chunk.decode("latin-1"))  # noqa: E731
     if args.header:
         write(b"record\tstart\tlength\trotation\tdistance\n")
-    total = SearchStats()
-    # the --stats lines, in the order SearchStats sets its fields
-    counters = [field for field in vars(total) if field != "skips"]
+    # the --stats lines, in the order of SearchStats' fields, skips aside
+    total = dict.fromkeys(SearchStats._fields[:-1], 0)
     for name, seq in records:
         if pln is None:
             occs = oracle_search(seq, pattern, args.k)
             st = SearchStats(occurrences_reported=len(occs))
         else:
             occs, st = search(seq, pattern, args.k, pln, idx)
-        for field in counters:
-            setattr(total, field, getattr(total, field) + getattr(st, field))
+        for field in total:
+            total[field] += getattr(st, field)
         for o in occs:
             write(b"%s\t%d\t%d\t%d\t%d\n" % (name, o.start, o.length, o.rotation, o.distance))
     if args.stats:
         write(f"# mode={args.mode if pln is None else pln.mode}\n".encode())
-        write("".join(f"# {field}={getattr(total, field)}\n" for field in counters).encode())
-    return 0 if total.occurrences_reported else 1
+        write("".join(f"# {field}={value}\n" for field, value in total.items()).encode())
+    return 0 if total["occurrences_reported"] else 1
 
 
 def run(args, pattern: bytes, records: list[tuple[bytes, bytes]]) -> int:

@@ -84,14 +84,14 @@ except ImportError:  # an interpreter built without the builtin hashes
 MAGIC = b"CIRCIDX2"
 OLD_MAGIC = b"CIRCIDX1"
 DIGEST_LEN = 32
-DEFAULT_MAX_ENTRIES = 1 << 26
-DEFAULT_MAX_WORK = 1 << 29
+# the most entries an index may hold, read at each build and plan
+MAX_ENTRIES = 1 << 26
 # the most bits of an int in one pass of the builder; 32 KiB stays in cache
 PASS_BITS = 1 << 18
 
 
 class IndexBudgetError(MemoryError):
-    """Raised when sigma^q does not fit the configured budget."""
+    """Raised when sigma^q exceeds MAX_ENTRIES."""
 
     def __init__(self, message: str, required: int):
         super().__init__(message)
@@ -214,13 +214,11 @@ def _children(lanes: list[int], near: int, below: int, full: int, span: int, cou
     return out
 
 
-def build_index(
-    x: str | bytes, q: int, a: Alphabet, max_entries: int = DEFAULT_MAX_ENTRIES
-) -> QGramIndex:
+def build_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
     """Index of minimum distances from every q-gram to the factors of the
     doubled pattern, built level by level over the trie of gram suffixes.
 
-    Requires 1 <= q < len(x) and sigma^q within the entry budget.
+    Requires 1 <= q < len(x) and sigma^q within MAX_ENTRIES.
     """
     xb = to_bytes(x)
     m = len(xb)
@@ -230,9 +228,9 @@ def build_index(
         raise ValueError("index build supports q up to 50")
     sigma = a.size
     total = sigma**q
-    if total > max_entries:
+    if total > MAX_ENTRIES:
         raise IndexBudgetError(
-            f"{sigma}^{q} = {total} index entries exceed the budget of {max_entries}",
+            f"{sigma}^{q} = {total} index entries exceed the budget of {MAX_ENTRIES}",
             required=total,
         )
     # x and its first min(m, L) - 1 letters again, reversed, hold every

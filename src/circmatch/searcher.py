@@ -24,23 +24,26 @@ settles all n - (m - k) + 1 starts as one run, one pass over the text,
 and counts its windows by arithmetic.
 
 Parameter planning sweeps q downwards from the largest value that the
-index budgets and the window allow.  At each q it takes c as given, or
-else the c on a 0.01 grid, from k / (epsilon m - k - q) up, that
-maximizes the difference-rate exponent
+build-work budget MAX_WORK and the window allow.  At each q it takes c
+as given, or else the c on a 0.01 grid, from k / (epsilon m - k - q) up,
+that maximizes the difference-rate exponent
 
     d(c) = 1 - c + 2c log_sigma(c) + 2(1-c) log_sigma(1-c)
 
 among those with d(c) > 0 for which the window holds 2q + k/c.  For
 sigma >= 8 the classical ceiling c < 1 - e/sqrt(sigma) additionally caps
 the grid; for smaller alphabets that bound is vacuous and positivity of
-d(c) is the operative test.  The plan takes the first q whose J grams fit
-the window and which is at most
+d(c) is the operative test.  One rule accepts or rejects each (q, c):
+sigma^q within the entry budget qgramindex.MAX_ENTRIES, d(c) > 0, and a
+window that holds 2q + k/c, and so the J grams, as J q < 2q + k/c.  The
+plan takes the first accepted q that is at most
 
     ceil((3 ln m + ln max(k, 1)) / (d(c) ln sigma)),
 
 so q = Theta(log_sigma m), as the average-case bound needs.  When no q
 passes, the plan falls back to verifying every window, which stays
 correct: the text is then one run, and the screen reads each letter once.
+A one-letter alphabet has d = -inf, so it always verifies every window.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import qgramindex
 from .alphabet import Alphabet, to_bytes
 from .bitparallel import rotation_screen
-from .qgramindex import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_WORK, QGramIndex, pattern_digest
+from .qgramindex import QGramIndex, pattern_digest
 from .verifier import Occurrence
 
 
@@ -78,38 +82,24 @@ class SearchPlan(NamedTuple):
         return cls(mode="verify-all", m=m, k=k, epsilon=epsilon)
 
 
-class SearchStats:
+class SearchStats(NamedTuple):
     """Deterministic counters of one search.  `chars_inspected` is the
     letters read by the filter (q per gram read) plus the letters of every
     run slice the screen settled, so it is n in verify-all mode."""
 
-    def __init__(
-        self,
-        windows_examined: int = 0,
-        windows_verified: int = 0,
-        qgrams_read: int = 0,
-        chars_inspected: int = 0,
-        occurrences_reported: int = 0,
-        skips: list | None = None,
-    ):
-        self.windows_examined = windows_examined
-        self.windows_verified = windows_verified
-        self.qgrams_read = qgrams_read
-        self.chars_inspected = chars_inspected
-        self.occurrences_reported = occurrences_reported
-        self.skips = [] if skips is None else skips  # (position, shift), test mode only
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"SearchStats({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    windows_examined: int = 0
+    windows_verified: int = 0
+    qgrams_read: int = 0
+    chars_inspected: int = 0
+    occurrences_reported: int = 0
+    skips: list | tuple = ()  # (position, shift), test mode only
 
 
 def d_exponent(c: float, sigma: int) -> float:
-    """Exponent governing how fast random q-gram matches become unlikely."""
+    """Exponent governing how fast random q-gram matches become unlikely;
+    -inf, its limit, for one letter, where every gram matches."""
+    if sigma < 2:
+        return -math.inf
     ls = math.log(sigma)
     return 1 - c + 2 * c * math.log(c) / ls + 2 * (1 - c) * math.log(1 - c) / ls
 
@@ -143,8 +133,13 @@ def _best_c(m: int, k: int, q: int, sigma: int, epsilon: float) -> tuple[float, 
     return best
 
 
-def _q_caps(m: int, sigma: int, max_entries: int, max_work: int) -> int:
-    """Largest q whose index fits both the entry and the build-work budget.
+# the build-work budget of `_q_caps`, read at each plan
+MAX_WORK = 1 << 29
+
+
+def _q_caps(m: int, sigma: int, limit: int) -> int:
+    """Largest q up to `limit` whose index fits the build-work budget,
+    MAX_WORK; `_rejection` holds the entry budget.
 
     The work term, sigma^q (2m - q)(2q + 1) sigma, is a planning bound,
     not a cost model of `build_index`, whose level-by-level trie build
@@ -153,16 +148,22 @@ def _q_caps(m: int, sigma: int, max_entries: int, max_work: int) -> int:
     counter.  Recalibrating it belongs to choosing plans by cost.
     """
     q = 0
-    while True:
-        nq = q + 1
-        entries = sigma**nq
-        if entries > max_entries:
-            break
-        work = entries * (2 * m - nq) * (2 * nq + 1) * sigma
-        if work > max_work:
-            break
-        q = nq
+    while q < limit and sigma ** (q + 1) * (2 * m - q - 1) * (2 * q + 3) * sigma <= MAX_WORK:
+        q += 1
     return q
+
+
+def _rejection(m: int, k: int, q: int, sigma: int, c: float, d: float) -> str | None:
+    """Why (q, c) with d = d(c) cannot filter, or None when it can.  A
+    window that holds 2q + k/c holds the J grams too, as J q < 2q + k/c."""
+    if sigma**q > qgramindex.MAX_ENTRIES:
+        return f"sigma^q = {sigma**q} exceeds the index budget {qgramindex.MAX_ENTRIES}"
+    if d <= 0:
+        return f"difference-rate exponent d(c={c:.3f}) = {d:.4f} is not positive"
+    need = 2 * q + (k / c if k else 0)
+    if need > m - k:
+        return f"window m-k = {m - k} cannot hold 2q + k/c = {need:.1f}"
+    return None
 
 
 def check_overrides(m: int, q: int | None, c: float | None, epsilon: float) -> None:
@@ -183,88 +184,48 @@ def plan(
     q: int | None = None,
     c: float | None = None,
     epsilon: float = 0.5,
-    max_index_entries: int = DEFAULT_MAX_ENTRIES,
-    max_index_work: int = DEFAULT_MAX_WORK,
 ) -> SearchPlan:
     """Choose search parameters for a length-m pattern at threshold k.
 
-    A given q is validated against the filter-mode invariants (positive
-    exponent, grams fitting the window, window holding 2q + k/c) and used
-    with the given c, or the grid's best c for it.  Otherwise one sweep
-    takes the largest feasible q under the budgets, the window and the
-    asymptotic expression, with the given c or each q's best c; with no
-    such q it falls back to verify-all, or raises if c was given.
+    One sweep takes q downwards from the largest value that the work
+    budget and the window allow, with the given c or each q's best c, and
+    returns the first (q, c) that `_rejection` accepts and whose q is at
+    most the asymptotic bound.  A given q is a sweep over q alone, without
+    that bound, in which a rejection raises PlanError.  When no q is left
+    the plan verifies every window, or raises if c was given.
     """
     if k < 0 or k >= m:
         raise PlanError(f"threshold k={k} must satisfy 0 <= k < m={m}")
     check_overrides(m, q, c, epsilon)
     sigma = a.size
-    wlen = m - k
-
-    def make(qv: int, cv: float, dv: float) -> SearchPlan:
-        return SearchPlan(
-            mode="filter",
-            m=m,
-            k=k,
-            epsilon=epsilon,
-            q=qv,
-            c=cv,
-            d=dv,
-            j_grams=_grams_per_window(k, cv, qv),
-        )
-
-    def check(qv: int, cv: float) -> SearchPlan:
-        if sigma**qv > max_index_entries:
-            raise PlanError(
-                f"sigma^q = {sigma**qv} exceeds the index budget {max_index_entries}"
-            )
-        dv = d_exponent(cv, sigma)
-        if dv <= 0:
-            raise PlanError(
-                f"difference-rate exponent d(c={cv:.3f}) = {dv:.4f} is not positive"
-            )
-        if 2 * qv + (k / cv if k else 0) > wlen:
-            raise PlanError(
-                f"window m-k = {wlen} cannot hold 2q + k/c = {2 * qv + (k / cv if k else 0):.1f}"
-            )
-        j = _grams_per_window(k, cv, qv)
-        if j * qv > wlen:
-            raise PlanError(f"J*q = {j * qv} exceeds the window length {wlen}")
-        return make(qv, cv, dv)
-
-    if q is not None and c is not None:
-        return check(q, c)
-    if q is not None:
-        got = _best_c(m, k, q, sigma, epsilon)
-        if got is None:
-            raise PlanError(
-                f"no feasible c for q={q}: need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0"
-            )
-        return check(q, got[0])
-
-    q_cap = min(_q_caps(m, sigma, max_index_entries, max_index_work), (wlen - 1) // 2, m - 1)
-    if q_cap < 1:
-        return SearchPlan.verify_all(m, k, epsilon)
+    if q is None:
+        qs = range(_q_caps(m, sigma, (m - k - 1) // 2), 0, -1)
+        if not qs:
+            return SearchPlan.verify_all(m, k, epsilon)
+    else:
+        qs = [q]
     given = None if c is None else (c, d_exponent(c, sigma))
-    if given and given[1] <= 0:
-        raise PlanError(
-            f"difference-rate exponent d(c={c:.3f}) = {given[1]:.4f} is not positive"
-        )
-
-    # the largest q under the caps whose c lets the window hold 2q + k/c and
-    # J grams, and that is at most the asymptotic (3 ln m + ln k) / (d ln sigma)
+    # a swept q is at most the asymptotic (3 ln m + ln k) / (d ln sigma)
     top = 3 * math.log(m) + math.log(max(k, 1))
-    for qv in range(q_cap, 0, -1):
+    for qv in qs:
         got = given or _best_c(m, k, qv, sigma, epsilon)
         if got is None:
+            why = (
+                f"no feasible c for q={qv}: "
+                "need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0"
+            )
+        else:
+            why = _rejection(m, k, qv, sigma, *got)
+        if why:
+            # a given c with d(c) <= 0 is rejected at every q
+            if q is not None or given and given[1] <= 0:
+                raise PlanError(why)
             continue
         cv, dv = got
-        if (
-            2 * qv + (k / cv if k else 0) <= wlen
-            and _grams_per_window(k, cv, qv) * qv <= wlen
-            and qv <= math.ceil(top / (math.log(sigma) * dv))
-        ):
-            return make(qv, cv, dv)
+        if q is None and qv > math.ceil(top / (math.log(sigma) * dv)):
+            continue
+        j = _grams_per_window(k, cv, qv)
+        return SearchPlan(mode="filter", m=m, k=k, epsilon=epsilon, q=qv, c=cv, d=dv, j_grams=j)
     if given:
         raise PlanError(f"no q pairs with c={c} for m={m}, k={k}, sigma={sigma}")
     return SearchPlan.verify_all(m, k, epsilon)
@@ -296,19 +257,20 @@ def search(
     if plan.m != m or plan.k != k:
         raise ValueError("plan was built for a different (m, k)")
     wlen = plan.window_len
-    stats = SearchStats()
     occs: list[Occurrence] = []
+    skips: list[tuple[int, int]] = []
+    settled = 0  # letters of the run slices the screen read
     screen = None  # looked up at the first run: a search may verify nothing
 
     def settle(lo: int, hi: int) -> None:
         # one pass over the run of starts [lo, hi) and the m + k letters
         # past it, as far as a factor within k of a rotation reaches
-        nonlocal screen
+        nonlocal screen, settled
         if lo < hi:
             if screen is None:
                 screen = rotation_screen(xb, k)
             data = tb[lo : hi + m + k]
-            stats.chars_inspected += len(data)
+            settled += len(data)
             occs.extend(
                 Occurrence(lo + s, length, r, d)
                 for s, length, r, d in screen.occurrences(data, hi - lo)
@@ -317,10 +279,9 @@ def search(
     if plan.mode != "filter":
         # every window verifies and touches the last: one run of all starts
         starts = max(0, n - wlen + 1)
-        stats.windows_examined = stats.windows_verified = -(-starts // wlen)
+        windows = -(-starts // wlen)
         settle(0, starts)
-        stats.occurrences_reported = len(occs)
-        return occs, stats
+        return occs, SearchStats(windows, windows, 0, settled, len(occs), skips)
 
     if idx is None:
         raise ValueError("filter mode needs a q-gram index")
@@ -355,7 +316,7 @@ def search(
         if ssum > k:
             shift = wlen - jj * q + 1
             if collect_skips:
-                stats.skips.append((p, shift))
+                skips.append((p, shift))
             p += shift
             continue
         verified += 1
@@ -364,9 +325,5 @@ def search(
             lo = p
         p = hi = p + wlen
     settle(lo, hi)
-    stats.windows_examined, stats.windows_verified = examined, verified
-    stats.qgrams_read = grams
-    stats.chars_inspected += q * grams
-    stats.occurrences_reported = len(occs)
-    return occs, stats
+    return occs, SearchStats(examined, verified, grams, settled + q * grams, len(occs), skips)
 

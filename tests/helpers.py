@@ -6,11 +6,14 @@ so the fast engines are always compared against straight-line code.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import random
 import types
 
-from circmatch import Occurrence, qgramindex, search
+import pytest
+
+from circmatch import Occurrence, qgramindex, search, searcher
 from circmatch.reference import dedup_occurrences, full_edit_distance, rotate
 
 
@@ -122,6 +125,18 @@ def load_mutant(module, old: str, new: str):
     mod.__package__ = module.__package__
     exec(compile(src.replace(old, new), "<mutant>", "exec"), mod.__dict__)
     return mod
+
+
+@contextlib.contextmanager
+def index_budgets(entries: int, work: int | None = None, planner=searcher):
+    """Within the block, `plan` and `build_index` allow at most `entries`
+    index entries and, when `work` is given, the sweep of `planner`
+    (`searcher` or a mutant copy of it) a build work of at most `work`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgramindex, "MAX_ENTRIES", entries)
+        if work is not None:
+            mp.setattr(planner, "MAX_WORK", work)
+        yield
 
 
 def count_half_tables(monkeypatch) -> list:

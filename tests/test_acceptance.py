@@ -26,6 +26,7 @@ from circmatch.reference import (
 )
 from helpers import (
     brute_search,
+    index_budgets,
     letters_for,
     plant_edited_rotation,
     random_string,
@@ -66,12 +67,9 @@ def battery():
         planted = i >= N_RANDOM
         sigma, m, k, t, x, letters = _battery_instance(rng, i, planted)
         a = build_alphabet(letters)
-        pln = plan(m, k, a, max_index_entries=1 << 14, max_index_work=1 << 22)
-        idx = (
-            build_index(x, pln.q, a, max_entries=1 << 14)
-            if pln.mode == "filter"
-            else None
-        )
+        with index_budgets(1 << 14, 1 << 22):
+            pln = plan(m, k, a)
+            idx = build_index(x, pln.q, a) if pln.mode == "filter" else None
         modes[pln.mode] += 1
         got, stats = search(t, x, k, pln, idx, collect_skips=True)
         ref = oracle_search(t, x, k)
@@ -270,12 +268,9 @@ def test_criterion_9_chunked_concurrency_contract():
             plant_edited_rotation(rng, t, x, k, letters)
         t = bytes(t)
         a = build_alphabet(letters)
-        pln = plan(m, k, a, max_index_entries=1 << 14, max_index_work=1 << 22)
-        idx = (
-            build_index(x, pln.q, a, max_entries=1 << 14)
-            if pln.mode == "filter"
-            else None
-        )
+        with index_budgets(1 << 14, 1 << 22):
+            pln = plan(m, k, a)
+            idx = build_index(x, pln.q, a) if pln.mode == "filter" else None
         single, _ = search(t, x, k, pln, idx)
         pieces, _ = search_in_pieces(t, x, k, pln, idx, pieces=4)
         assert pieces == single

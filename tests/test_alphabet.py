@@ -33,6 +33,11 @@ def test_empty_rejected():
         build_alphabet("")
 
 
+def test_one_letter_accepted():
+    a = build_alphabet("A")
+    assert a.size == 1 and a.rank("A") == 0 and a.rank("B") is None
+
+
 def test_unrank_roundtrip():
     a = build_alphabet("dna")
     for r in range(a.size):

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from circmatch import bitparallel, cli, searcher
@@ -587,14 +587,17 @@ def test_cli_bench_subcommand(capsys):
     assert len(lines) == 3
 
 
+SIGMA_RANGE = "sigma must lie in [2, 255]: one letter leaves no filter to measure"
+
+
 @pytest.mark.parametrize("extra, message", [
     pytest.param(["--pairs", "16"], "pair '16' must be M:K with integers M and K", id="no-k"),
     pytest.param(["--pairs", "16:1:3"], "pair '16:1:3' must be M:K with integers M and K",
                  id="three-fields"),
     pytest.param(["--pairs", "16:1", "--n", "0"], "n must be at least 1", id="n-zero"),
     pytest.param(["--pairs", "16:1", "--n", "-5"], "n must be at least 1", id="n-negative"),
-    pytest.param(["--pairs", "16:1", "--sigma", "300"],
-                 "sigma must lie in [2, 255], the alphabet sizes circmatch takes", id="sigma-300"),
+    pytest.param(["--pairs", "16:1", "--sigma", "300"], SIGMA_RANGE, id="sigma-300"),
+    pytest.param(["--pairs", "16:1", "--sigma", "1"], SIGMA_RANGE, id="sigma-1"),
 ])
 def test_cli_bench_bad_arguments_exit_2(capsys, extra, message):
     code, out, err = run_cli(["bench", "--sigma", "4", "--n", "2000", *extra], capsys)
@@ -808,9 +811,7 @@ def check_cli_against_plain_dp(main_fn, case: dict) -> None:
         letters = letters.upper() if case["fold_case"] else letters
     foreign = set(data) - set(letters)
     q, c, epsilon = case["q"], case["c"], case["epsilon"]
-    # an auto alphabet of one letter is refused, though a search over it
-    # would be well defined
-    refused = len(set(letters)) < 2 or (case["strict"] and foreign) or not (
+    refused = (case["strict"] and foreign) or not (
         (q is None or 1 <= q < m)
         and (c is None or 0 < c < 1)
         and (epsilon is None or 0 < epsilon < 1)
@@ -845,8 +846,25 @@ def check_cli_against_plain_dp(main_fn, case: dict) -> None:
                 assert (code, out, err) == (0 if rows else 1, rows, ""), argv
 
 
+def test_cli_one_letter_alphabet(tmp_path):
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"AAAA")
+    argv = ["--pattern", "AA", "--text", str(text), "-k", "0"]
+    code, out, err = _run_main(main, argv)
+    assert (code, out, err) == (0, plain_rows(b"text", b"AAAA", b"AA", 0), "")
+    assert out.count(b"\n") == 6
+    code, out, err = _run_main(main, [*argv, "--mode", "filter"])
+    assert (code, out) == (2, b"") and err.startswith("error: ") and err.count("\n") == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=cli_cases())
+# an auto alphabet of one letter: every plan verifies all windows
+@example(case=dict(
+    pattern=b"AA", k=0, records=[(b"text", b"AAAA")], blob=b"AAAA\n", mode="auto",
+    alphabet="auto", fold_case=False, strict=False, pattern_file=False, cache=False,
+    q=None, c=None, epsilon=None,
+))
 def test_cli_matches_plain_dp(case):
     check_cli_against_plain_dp(main, case)
 

@@ -17,7 +17,7 @@ from circmatch.reference import (
     full_edit_distance,
     rotate,
 )
-from helpers import count_half_tables, letters_for, load_mutant, random_string
+from helpers import count_half_tables, index_budgets, letters_for, load_mutant, random_string
 
 
 def test_doubled_examples():
@@ -268,8 +268,8 @@ def test_lower_bound_against_rotation_factors():
 
 def test_budget_refusal_reports_requirement():
     a = build_alphabet("abcd")
-    with pytest.raises(IndexBudgetError) as exc:
-        build_index(b"a" * 40, 10, a, max_entries=1 << 10)
+    with pytest.raises(IndexBudgetError) as exc, index_budgets(1 << 10):
+        build_index(b"a" * 40, 10, a)
     assert exc.value.required == 4**10
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import random
@@ -22,6 +23,7 @@ from circmatch.searcher import d_exponent
 from helpers import (
     brute_search,
     count_half_tables,
+    index_budgets,
     letters_for,
     load_mutant,
     plant_edited_rotation,
@@ -68,32 +70,40 @@ def test_plan_invariants_when_filtering():
     assert feasible > 50
 
 
-# plan keywords of the pinned grid: default plans at two epsilons and two
-# budgets, and plans with c given
-PLAN_GRID_KWARGS = [
-    {},
-    {"epsilon": 0.9},
-    {"max_index_entries": 1 << 14, "max_index_work": 1 << 22},
-    {"c": 0.2},
-    {"c": 0.4},
+# plan keywords of the pinned grid, each with the (entries, work) index
+# budgets it plans under, or None for the modules' own: default plans at two
+# epsilons and two budgets, and plans with c given
+PLAN_GRID = [
+    ({}, None),
+    ({"epsilon": 0.9}, None),
+    ({}, (1 << 14, 1 << 22)),
+    ({"c": 0.2}, None),
+    ({"c": 0.4}, None),
 ]
 # sha256 of the grid's plans, from the planner that iterated q to a fixed
 # point before sweeping it down
 PLAN_GRID_DIGEST = "f340d8105c5bddb54b20ae872f09336be51078a97d385c669debb1b226e67378"
 
 
-def plan_grid_digest(plan_fn) -> str:
+def plan_grid_digest(planner) -> str:
     """sha256 of (mode, q, c, j_grams), or the error's class name, of every
-    plan over sigma in {2, 4, 8, 20}, m in 2..40 and {64, 100, 128, 256},
-    k < min(m, 10) and PLAN_GRID_KWARGS."""
+    plan of `planner`, the searcher module or a mutant of it, over sigma in
+    {2, 4, 8, 20}, m in 2..40 and {64, 100, 128, 256}, k < min(m, 10) and
+    PLAN_GRID."""
     h = hashlib.sha256()
     for sigma in (2, 4, 8, 20):
         a = build_alphabet(letters_for(sigma))
         for m in [*range(2, 41), 64, 100, 128, 256]:
             for k in range(min(m, 10)):
-                for kwargs in PLAN_GRID_KWARGS:
+                for kwargs, budgets in PLAN_GRID:
+                    budgeted = (
+                        index_budgets(*budgets, planner=planner)
+                        if budgets
+                        else contextlib.nullcontext()
+                    )
                     try:
-                        p = plan_fn(m, k, a, **kwargs)
+                        with budgeted:
+                            p = planner.plan(m, k, a, **kwargs)
                         row = (p.mode, p.q, p.c, p.j_grams)
                     except ValueError as exc:
                         row = type(exc).__name__
@@ -102,15 +112,18 @@ def plan_grid_digest(plan_fn) -> str:
 
 
 def test_plans_match_pinned_digest():
-    assert plan_grid_digest(plan) == PLAN_GRID_DIGEST
+    assert plan_grid_digest(searcher) == PLAN_GRID_DIGEST
     # a copy whose sweep drops the asymptotic bound takes the largest q the
     # caps allow
     mutant = load_mutant(
-        searcher, "            and qv <= math.ceil(top / (math.log(sigma) * dv))\n", ""
+        searcher,
+        "        if q is None and qv > math.ceil(top / (math.log(sigma) * dv)):\n"
+        "            continue\n",
+        "",
     )
     a = build_alphabet("abcd")
     assert (plan(17, 0, a).q, mutant.plan(17, 0, a).q) == (7, 8)
-    assert plan_grid_digest(mutant.plan) != PLAN_GRID_DIGEST
+    assert plan_grid_digest(mutant) != PLAN_GRID_DIGEST
 
 
 def test_plan_override_validation():
@@ -123,6 +136,75 @@ def test_plan_override_validation():
         plan(64, 2, a, q=6, c=0.9)  # d(c) < 0 at sigma=4
     with pytest.raises(PlanError):
         plan(64, 2, a, q=6, c=1.5)
+
+
+EXPONENT_NOT_POSITIVE = "difference-rate exponent d(c=0.900) = -0.3690 is not positive"
+NO_C_FOR_Q = "no feasible c for q={}: need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0"
+
+
+@pytest.mark.parametrize(
+    "m, k, sigma, kwargs, message",
+    [
+        (8, 8, 2, {}, "threshold k=8 must satisfy 0 <= k < m=8"),
+        (8, -1, 2, {}, "threshold k=-1 must satisfy 0 <= k < m=8"),
+        (8, 0, 2, {"epsilon": 1.0}, "epsilon must lie in (0, 1), got epsilon=1.0"),
+        (8, 0, 2, {"c": 1.5}, "c must lie in (0, 1), got c=1.5"),
+        (8, 0, 2, {"q": 8}, "q must satisfy 1 <= q < m, got q=8"),
+        (64, 0, 20, {"q": 7}, "sigma^q = 1280000000 exceeds the index budget 67108864"),
+        # with q and c given, the entry budget is checked before d(c)
+        (64, 2, 4, {"q": 14, "c": 0.9}, "sigma^q = 268435456 exceeds the index budget 67108864"),
+        (64, 2, 4, {"q": 6, "c": 0.9}, EXPONENT_NOT_POSITIVE),
+        (64, 2, 4, {"c": 0.9}, EXPONENT_NOT_POSITIVE),
+        (40, 2, 4, {"q": 10, "c": 0.1}, "window m-k = 38 cannot hold 2q + k/c = 40.0"),
+        (64, 2, 4, {"q": 40}, NO_C_FOR_Q.format(40)),
+        # with q given alone, a q with no feasible c is reported before the budget
+        (10, 2, 20, {"q": 7}, NO_C_FOR_Q.format(7)),
+        (12, 3, 4, {"c": 0.05}, "no q pairs with c=0.05 for m=12, k=3, sigma=4"),
+    ],
+)
+def test_plan_error_messages(m, k, sigma, kwargs, message):
+    with pytest.raises(PlanError) as err:
+        plan(m, k, build_alphabet(letters_for(sigma)), **kwargs)
+    assert str(err.value) == message
+
+
+def test_plan_given_c_with_no_room_for_a_gram_verifies_all():
+    # the window of 2 letters holds no 2q + k/c, so the plan verifies every
+    # window before it looks at c, although d(0.9) <= 0 at sigma = 2
+    assert plan(4, 2, build_alphabet("ab"), c=0.9) == SearchPlan.verify_all(4, 2)
+
+
+def test_one_letter_alphabet_verifies_all_windows():
+    a = build_alphabet("A")
+    p = plan(2, 0, a)
+    assert p == SearchPlan.verify_all(2, 0)
+    got, _ = search(b"AAAA", b"AA", 0, p)
+    assert got == brute_search(b"AAAA", b"AA", 0) and len(got) == 6
+    # d = -inf at sigma = 1, so a given q or c is refused
+    not_positive = "difference-rate exponent d(c=0.100) = -inf is not positive"
+    for kwargs, message in [
+        ({"q": 2}, NO_C_FOR_Q.format(2)),
+        ({"q": 2, "c": 0.1}, not_positive),
+        ({"c": 0.1}, not_positive),
+    ]:
+        with pytest.raises(PlanError) as err:
+            plan(8, 0, a, **kwargs)
+        assert str(err.value) == message
+
+
+def test_window_that_holds_2q_plus_k_over_c_holds_j_grams():
+    # J q = q + q ceil(k / (c q)) < 2q + k/c, so the window check on
+    # 2q + k/c implies that the J grams fit: checked here in floating point
+    # on the c grid, and at some given c
+    grid = [i / 100 for i in range(1, 100)] + [0.123456789, 1 / 3, 0.999999]
+    for m in [*range(2, 65), 100, 128, 256]:
+        for k in range(1, m):
+            wlen = m - k
+            for c in grid:
+                q = 1
+                while 2 * q + k / c <= wlen:
+                    assert searcher._grams_per_window(k, c, q) * q <= wlen, (m, k, q, c)
+                    q += 1
 
 
 def test_filter_window_all_zero_sums_verify():
@@ -282,8 +364,9 @@ def test_search_skip_landing_on_occurrence_start(letters, x, k, q, c, t):
 
 def _run(t, x, k, sigma, entries=1 << 14, work=1 << 22, **kw):
     a = build_alphabet(letters_for(sigma))
-    p = plan(len(x), k, a, max_index_entries=entries, max_index_work=work)
-    idx = build_index(x, p.q, a, max_entries=entries) if p.mode == "filter" else None
+    with index_budgets(entries, work):
+        p = plan(len(x), k, a)
+        idx = build_index(x, p.q, a) if p.mode == "filter" else None
     return search(t, x, k, p, idx, **kw), p
 
 
@@ -363,9 +446,10 @@ def test_search_matches_full_dp_property(case):
     verify_all = SearchPlan.verify_all(m, k, epsilon)
     assert search(t, x, k, verify_all)[0] == want
     a = build_alphabet(letters_for(sigma))
-    p = plan(m, k, a, epsilon=epsilon, max_index_entries=256, max_index_work=1 << 20)
+    with index_budgets(256, 1 << 20):
+        p = plan(m, k, a, epsilon=epsilon)
+        idx = build_index(x, p.q, a) if p.mode == "filter" else None
     if p.mode == "filter":
-        idx = build_index(x, p.q, a, max_entries=256)
         assert search(t, x, k, p, idx)[0] == want
 
 
@@ -420,8 +504,9 @@ def test_search_with_foreign_text_letters():
         t = bytearray(random_string(rng, b"ACGTN", n))
         plant_edited_rotation(rng, t, x, k, b"ACGT")
         t = bytes(t)
-        p = plan(m, k, a, max_index_entries=1 << 14, max_index_work=1 << 22)
-        idx = build_index(x, p.q, a, max_entries=1 << 14) if p.mode == "filter" else None
+        with index_budgets(1 << 14, 1 << 22):
+            p = plan(m, k, a)
+            idx = build_index(x, p.q, a) if p.mode == "filter" else None
         got, _ = search(t, x, k, p, idx)
         assert got == oracle_search(t, x, k)
 
@@ -438,8 +523,9 @@ def test_search_patterns_wider_than_a_machine_word():
         plant_edited_rotation(rng, t, x, k, letters)
         t = bytes(t)
         a = build_alphabet(letters)
-        p = plan(m, k, a, max_index_entries=1 << 14, max_index_work=1 << 22)
-        idx = build_index(x, p.q, a, max_entries=1 << 14) if p.mode == "filter" else None
+        with index_budgets(1 << 14, 1 << 22):
+            p = plan(m, k, a)
+            idx = build_index(x, p.q, a) if p.mode == "filter" else None
         got, _ = search(t, x, k, p, idx)
         ref = oracle_search(t, x, k)
         assert got == ref and ref  # the planted rotation guarantees a hit
@@ -577,8 +663,9 @@ def test_chunked_equals_single():
         plant_edited_rotation(rng, t, x, k, letters)
         t = bytes(t)
         a = build_alphabet(letters)
-        p = plan(m, k, a, max_index_entries=1 << 14, max_index_work=1 << 22)
-        idx = build_index(x, p.q, a, max_entries=1 << 14) if p.mode == "filter" else None
+        with index_budgets(1 << 14, 1 << 22):
+            p = plan(m, k, a)
+            idx = build_index(x, p.q, a) if p.mode == "filter" else None
         single, _ = search(t, x, k, p, idx)
         pieces, _ = search_in_pieces(t, x, k, p, idx, pieces=4)
         assert pieces == single

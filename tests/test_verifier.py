@@ -25,6 +25,7 @@ from helpers import (
     boundary_blocks,
     brute_block_occurrences,
     brute_search,
+    index_budgets,
     letters_for,
     random_string,
 )
@@ -232,8 +233,10 @@ def test_verify_and_search_do_not_use_band_pass(monkeypatch):
         assert screen_block(x, k, block) == brute_block_occurrences(x, k, block)
         want = brute_search(t, x, k)
         assert search(t, x, k, SearchPlan.verify_all(m, k))[0] == want
-        p = plan(m, k, a, epsilon=0.9, max_index_entries=256, max_index_work=1 << 20)
+        with index_budgets(256, 1 << 20):
+            p = plan(m, k, a, epsilon=0.9)
+            idx = build_index(x, p.q, a) if p.mode == "filter" else None
         if p.mode == "filter":
             filtered += 1
-            assert search(t, x, k, p, build_index(x, p.q, a, max_entries=256))[0] == want
+            assert search(t, x, k, p, idx)[0] == want
     assert filtered > 0
