@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+
 class AlphabetError(ValueError):
     pass
 
@@ -13,41 +16,23 @@ def to_bytes(s: str | bytes | bytearray) -> bytes:
     return bytes(s)
 
 
-FOREIGN = 0xFF  # rank of a letter outside the alphabet in the rank table
-
-
-class Alphabet:
+class Alphabet(NamedTuple("Alphabet", [("letters", bytes)])):
     """Ordered set of distinct byte values with ranks assigned in order.
 
-    Immutable once constructed; safe to share between threads.  Alphabets
-    with the same letters in the same order are equal and hash alike.
+    Alphabets with the same letters in the same order are equal and hash
+    alike.
     """
 
-    def __init__(self, letters: bytes):
+    __slots__ = ()
+
+    def __new__(cls, letters: bytes):
         if len(letters) == 0:
             raise AlphabetError("alphabet must not be empty")
         if len(set(letters)) != len(letters):
             raise AlphabetError("duplicate letter in alphabet")
         if len(letters) > 255:
             raise AlphabetError("alphabets larger than 255 letters are not supported")
-        table = bytearray([FOREIGN]) * 256
-        for r, ch in enumerate(letters):
-            table[ch] = r
-        self.__dict__.update(letters=letters, _ranks=bytes(table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Alphabet is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __repr__(self) -> str:
-        return f"Alphabet(letters={self.letters!r})"
+        return super().__new__(cls, letters)
 
     @property
     def size(self) -> int:
@@ -55,10 +40,8 @@ class Alphabet:
 
     def rank(self, letter: int | str | bytes) -> int | None:
         """Rank of a letter, or None for a foreign letter."""
-        if isinstance(letter, (str, bytes)):
-            letter = to_bytes(letter)[0]
-        r = self._ranks[letter]
-        return None if r == FOREIGN else r
+        r = self.letters.find(to_bytes(letter) if isinstance(letter, str) else letter)
+        return None if r < 0 else r
 
 
 def build_alphabet(spec: str | bytes, data: tuple = ()) -> Alphabet:

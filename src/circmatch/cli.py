@@ -22,7 +22,7 @@ import codecs
 import os
 import sys
 
-from .alphabet import build_alphabet, to_bytes
+from .alphabet import build_alphabet
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
 from .searcher import PlanError, SearchPlan, SearchStats, check_overrides, plan, search
 
@@ -32,12 +32,12 @@ NEEDS_NUMPY = "numpy, the optional extra circmatch[reference]"
 
 def parse_alphabet(arg: str) -> str | bytes:
     """The `--alphabet` argument as a `build_alphabet` spec: "dna" or
-    "auto" in any case, or the letters of letters:STR as bytes, which
-    `build_alphabet` always takes as a letter list."""
+    "auto" in any case, or the letters of letters:STR as the bytes of the
+    argument, which `build_alphabet` always takes as a letter list."""
     if arg.lower() in ("dna", "auto"):
         return arg.lower()
     if arg.startswith("letters:"):
-        return to_bytes(arg[len("letters:") :])
+        return os.fsencode(arg[len("letters:") :])
     raise ValueError(f"unknown alphabet {arg!r}; use dna, auto or letters:STR")
 
 
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     args = _search_parser().parse_args(argv)
     try:
         if args.pattern is not None:
-            pattern = to_bytes(args.pattern)
+            pattern = os.fsencode(args.pattern)  # the bytes the shell passed
         else:
             with open(args.pattern_file, "rb") as fh:
                 (_, pattern), *more = _records_from_bytes(fh.read())

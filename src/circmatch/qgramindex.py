@@ -64,9 +64,12 @@ at depth d, and writes entries[v::sigma**d].
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import os
 import sys
+from typing import NamedTuple
 
 from .alphabet import Alphabet, AlphabetError, to_bytes
 
@@ -82,7 +85,6 @@ except ImportError:  # an interpreter built without the builtin hashes
     from hashlib import sha256
 
 MAGIC = b"CIRCIDX2"
-OLD_MAGIC = b"CIRCIDX1"
 DIGEST_LEN = 32
 # the most entries an index may hold, read at each build and plan
 MAX_ENTRIES = 1 << 26
@@ -93,50 +95,25 @@ PASS_BITS = 1 << 18
 class IndexBudgetError(MemoryError):
     """Raised when sigma^q exceeds MAX_ENTRIES."""
 
-    def __init__(self, message: str, required: int):
-        super().__init__(message)
-        self.required = required
-
 
 def pattern_digest(x: str | bytes) -> bytes:
     """SHA-256 of the pattern an index was built from."""
     return sha256(to_bytes(x)).digest()
 
 
-class QGramIndex:
+class QGramIndex(NamedTuple):
     """`entries` holds sigma**q values in [0, q], indexed by gram code, and
     `digest` is the pattern_digest of the pattern."""
 
-    def __init__(self, q: int, alphabet: Alphabet, entries: bytes, digest: bytes):
-        self.q = q
-        self.alphabet = alphabet
-        self.entries = entries
-        self.digest = digest
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # not vars(): it holds `halves` once they are built
-        return (self.q, self.alphabet, self.entries, self.digest) == (
-            other.q, other.alphabet, other.entries, other.digest
-        )
+    q: int
+    alphabet: Alphabet
+    entries: bytes
+    digest: bytes
 
     def __repr__(self) -> str:
         return (
             f"QGramIndex(q={self.q}, alphabet={self.alphabet!r}, "
             f"entries=<{len(self.entries)} bytes>, digest={self.digest.hex()})"
-        )
-
-    @functools.cached_property
-    def halves(self) -> tuple[dict[bytes, int], dict[bytes, int]]:
-        """(left, right): the raw bytes of the first q // 2 letters of a
-        gram -> their code times sigma^(q - q // 2), and the bytes of the
-        other letters -> their code, so a gram's entry is entries[left +
-        right]; a foreign letter is in neither.  Built on first use, once."""
-        h = self.q // 2
-        return (
-            _half_codes(self.alphabet.letters, h, self.alphabet.size ** (self.q - h)),
-            _half_codes(self.alphabet.letters, self.q - h, 1),
         )
 
     def to_bytes(self) -> bytes:
@@ -151,16 +128,22 @@ class QGramIndex:
         )
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write the file whole or not at all: into a new file beside
+        `path`, renamed over it once written, so that a failed or killed
+        run leaves an earlier file as it was and a reader never sees half
+        of one."""
+        tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+        try:
+            with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+                fh.write(self.to_bytes())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # the new file may not exist
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "QGramIndex":
-        if blob.startswith(OLD_MAGIC):
-            raise ValueError(
-                "index file has the old CIRCIDX1 layout without a pattern digest; "
-                "delete it so that it is rebuilt"
-            )
         if not blob.startswith(MAGIC):
             raise ValueError("not an index file (bad magic)")
         off = len(MAGIC) + 2 + DIGEST_LEN
@@ -184,6 +167,21 @@ class QGramIndex:
     def load(cls, path) -> "QGramIndex":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+@functools.lru_cache(maxsize=8)
+def half_tables(alphabet: Alphabet, q: int) -> tuple[dict[bytes, int], dict[bytes, int]]:
+    """(left, right): the raw bytes of the first q // 2 letters of a gram
+    -> their code times sigma^(q - q // 2), and the bytes of the other
+    letters -> their code, so a gram's entry is entries[left + right]; a
+    foreign letter is in neither.  They depend on (alphabet, q) alone, so
+    every index of that alphabet and q shares them; the 8 most recently
+    used pairs are kept."""
+    h = q // 2
+    return (
+        _half_codes(alphabet.letters, h, alphabet.size ** (q - h)),
+        _half_codes(alphabet.letters, q - h, 1),
+    )
 
 
 def _half_codes(letters: bytes, length: int, scale: int) -> dict[bytes, int]:
@@ -230,8 +228,7 @@ def build_index(x: str | bytes, q: int, a: Alphabet) -> QGramIndex:
     total = sigma**q
     if total > MAX_ENTRIES:
         raise IndexBudgetError(
-            f"{sigma}^{q} = {total} index entries exceed the budget of {MAX_ENTRIES}",
-            required=total,
+            f"{sigma}^{q} = {total} index entries exceed the budget of {MAX_ENTRIES}"
         )
     # x and its first min(m, L) - 1 letters again, reversed, hold every
     # factor that can attain an entry, with L = max(q, 2q - 3)

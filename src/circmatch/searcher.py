@@ -4,8 +4,8 @@ scan loop that dispatches verifications.
 The window has length m - k.  From its right end the loop reads up to
 J = 1 + ceil(k / (c*q)) non-overlapping q-grams leftwards, summing their
 index entries, as in the backward reading of Fredriksson & Navarro (JEA
-2004).  A gram is looked up by its two halves in the index's `halves`
-tables, two dict lookups in place of a loop over its q letters.  Each
+2004).  A gram is looked up by its two halves in qgramindex.half_tables,
+two dict lookups in place of a loop over its q letters.  Each
 entry lower-bounds the edit distance between that gram and anything
 inside any rotation, and any occurrence covering all grams read so far
 absorbs their summed differences, so once the sum exceeds k no occurrence
@@ -25,18 +25,20 @@ and counts its windows by arithmetic.
 
 Parameter planning sweeps q downwards from the largest value that the
 build-work budget MAX_WORK and the window allow.  At each q it takes c
-as given, or else the c on a 0.01 grid, from k / (epsilon m - k - q) up,
-that maximizes the difference-rate exponent
+as given, or else the least c on a 0.01 grid, from k / (epsilon m - k - q)
+up, for which the window holds 2q + k/c, provided that the
+difference-rate exponent
 
     d(c) = 1 - c + 2c log_sigma(c) + 2(1-c) log_sigma(1-c)
 
-among those with d(c) > 0 for which the window holds 2q + k/c.  For
-sigma >= 8 the classical ceiling c < 1 - e/sqrt(sigma) additionally caps
-the grid; for smaller alphabets that bound is vacuous and positivity of
-d(c) is the operative test.  One rule accepts or rejects each (q, c):
-sigma^q within the entry budget qgramindex.MAX_ENTRIES, d(c) > 0, and a
-window that holds 2q + k/c, and so the J grams, as J q < 2q + k/c.  The
-plan takes the first accepted q that is at most
+is positive there.  For sigma >= 8 the classical ceiling
+c < 1 - e/sqrt(sigma) caps the grid; for smaller alphabets that bound is
+vacuous and positivity of d(c) is the operative test.  The least c is
+also the one that maximizes d(c) over the feasible grid (see `_best_c`).
+One rule accepts or rejects each (q, c): sigma^q within the entry budget
+qgramindex.MAX_ENTRIES, d(c) > 0, and a window that holds 2q + k/c, and
+so the J grams, as J q < 2q + k/c.  The plan takes the first accepted q
+that is at most
 
     ceil((3 ln m + ln max(k, 1)) / (d(c) ln sigma)),
 
@@ -114,23 +116,30 @@ def _c_ceiling(sigma: int) -> float:
 
 
 def _best_c(m: int, k: int, q: int, sigma: int, epsilon: float) -> tuple[float, float] | None:
-    """Grid-maximize d(c) over feasible c for this q, or None."""
-    wlen = m - k
+    """(c, d(c)) for the least c on the 0.01 grid, from k / (epsilon m -
+    k - q) up and below the ceiling, whose window holds 2q + k/c; None
+    when there is no such c or d(c) <= 0.
+
+    That c also maximizes d over the feasible grid, since every larger c
+    holds the window too.  d is convex in c, least at sqrt(sigma) / (1 +
+    sqrt(sigma)).  For sigma >= 8 the ceiling 1 - e/sqrt(sigma) lies below
+    that point, so d falls along the whole grid.  For sigma <= 7, d rises
+    from that point towards d(1) = 0, and d(0.99) < 0, so d > 0 only where
+    it falls.  Either way no larger c has a greater d, nor d > 0 when the
+    least c has not.
+    """
     denom = epsilon * m - k - q
-    lo = 0.0 if k == 0 else (k / denom if denom > 0 else None)
-    if lo is None:
+    if k and denom <= 0:
         return None
-    hi = min(_c_ceiling(sigma), 1.0)
-    best = None
-    c = max(1, math.ceil(lo * 100))
+    hi = _c_ceiling(sigma)
+    c = max(1, math.ceil(k / denom * 100)) if k else 1
     while c <= 99 and c / 100 < hi:
         cv = c / 100
-        if 2 * q + (k / cv if k else 0.0) <= wlen:
+        if 2 * q + k / cv <= m - k:
             dv = d_exponent(cv, sigma)
-            if dv > 0 and (best is None or dv > best[1]):
-                best = (cv, dv)
+            return (cv, dv) if dv > 0 else None
         c += 1
-    return best
+    return None
 
 
 # the build-work budget of `_q_caps`, read at each plan
@@ -292,7 +301,7 @@ def search(
     q, j_grams, entries = plan.q, plan.j_grams, idx.entries
     # a gram g's entry is entries[left[g[:h]] + right[g[h:]]]; a half that
     # is in neither table holds a foreign letter, and the gram adds 0
-    left, right = idx.halves
+    left, right = qgramindex.half_tables(idx.alphabet, q)
     h = q // 2
     rlen = q - h
     examined = verified = grams = 0

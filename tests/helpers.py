@@ -141,7 +141,9 @@ def index_budgets(entries: int, work: int | None = None, planner=searcher):
 
 def count_half_tables(monkeypatch) -> list:
     """A list that gains one item for each half-gram table built from now
-    on; an index builds two, its left and its right half."""
+    on, the cache of `qgramindex.half_tables` emptied first; each
+    (alphabet, q) builds two, its left and its right half."""
+    qgramindex.half_tables.cache_clear()
     built = []
     real = qgramindex._half_codes
     monkeypatch.setattr(qgramindex, "_half_codes", lambda *args: built.append(args) or real(*args))

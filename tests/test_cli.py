@@ -191,8 +191,8 @@ def test_cli_builds_one_screen_per_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_cli_builds_half_tables_once_per_run(tmp_path, capsys, monkeypatch, cached):
-    # every record's filter scan shares the index's half tables, whether
-    # the index was built or loaded from the cache
+    # every record's filter scan shares the half tables of the index's
+    # alphabet and q, whether the index was built or loaded from the cache
     fa = tmp_path / "reads.fa"
     fa.write_text("".join(f">r{i}\n{'TTGA' * i}CGTTGCAACGTACGTA{'ACGT' * i}\n" for i in range(4)))
     args = ["--pattern", "ACGTACGTTGCAACGT", "--text", str(fa), "-k", "1",
@@ -736,8 +736,10 @@ def plain_rows(name: bytes, t: bytes, x: bytes, k: int) -> bytes:
     return b"".join(rows)
 
 
-# mostly DNA, some lower case, and N, which the dna alphabet lacks
-DRAWN_LETTERS = b"ACGTACGTACGTacgtN"
+# mostly DNA, some lower case, and N and a latin-1 e-acute, which the dna
+# alphabet lacks; the latin-1 byte is no UTF-8 text, and reaches --pattern
+# through os.fsdecode, as the shell would pass it
+DRAWN_LETTERS = b"ACGTACGTACGTacgtN\xe9"
 
 
 @st.composite
@@ -831,7 +833,7 @@ def check_cli_against_plain_dp(main_fn, case: dict) -> None:
             with open(argv[-1], "wb") as fh:
                 fh.write(b">p\r\n" + case["pattern"] + b"\r\n")
         else:
-            argv += ["--pattern", case["pattern"].decode()]
+            argv += ["--pattern", os.fsdecode(case["pattern"])]
         if case["cache"]:
             argv += ["--index-cache", os.path.join(tmp, "idx.bin")]
         # with a cache, the first run builds and saves the index and the
@@ -855,6 +857,26 @@ def test_cli_one_letter_alphabet(tmp_path):
     assert out.count(b"\n") == 6
     code, out, err = _run_main(main, [*argv, "--mode", "filter"])
     assert (code, out) == (2, b"") and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pattern, text, row", [
+    pytest.param("café".encode(), "un café noir".encode(), b"text\t3\t5\t0\t0\n", id="utf-8"),
+    pytest.param(b"caf\xe9", b"un caf\xe9 noir", b"text\t3\t4\t0\t0\n", id="latin-1"),
+])
+def test_cli_pattern_argument_is_its_bytes(tmp_path, pattern, text, row):
+    # --pattern and letters:STR take the bytes the shell passed, which
+    # os.fsdecode turns into the str that sys.argv holds, so --pattern
+    # finds what --pattern-file finds, and --strict accepts the text's own
+    # letters
+    (tmp_path / "t.txt").write_bytes(text)
+    (tmp_path / "p.txt").write_bytes(pattern)
+    argv = ["--text", str(tmp_path / "t.txt"), "-k", "0"]
+    by_file = _run_main(main, [*argv, "--pattern-file", str(tmp_path / "p.txt")])
+    by_arg = _run_main(main, [*argv, "--pattern", os.fsdecode(pattern)])
+    letters = "letters:" + os.fsdecode(bytes(sorted(set(text))))
+    strict = _run_main(main, [*argv, "--pattern", os.fsdecode(pattern), "--alphabet", letters,
+                              "--strict"])
+    assert by_file == by_arg == strict == (0, row, "")
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,7 +208,7 @@ def test_kernel_mutant_fails(old, new):
     mutant = load_mutant(qgramindex, old, new)
     a = build_alphabet("ACGT")
     x = random_string(random.Random(8), b"ACGT", 32)
-    assert mutant.build_index(x, 3, a) != brute_force_index(x, 3, a)
+    assert mutant.build_index(x, 4, a).entries != brute_force_index(x, 4, a).entries
     seed, m, q, digest = ENTRY_DIGESTS[0]
     x = random_string(random.Random(seed), b"ACGT", m)
     assert hashlib.sha256(mutant.build_index(x, q, a).entries).hexdigest() != digest
@@ -270,7 +273,7 @@ def test_budget_refusal_reports_requirement():
     a = build_alphabet("abcd")
     with pytest.raises(IndexBudgetError) as exc, index_budgets(1 << 10):
         build_index(b"a" * 40, 10, a)
-    assert exc.value.required == 4**10
+    assert str(exc.value) == f"4^10 = {4**10} index entries exceed the budget of {1 << 10}"
 
 
 def test_q_bounds_validated():
@@ -298,6 +301,35 @@ def test_serialization_roundtrip(tmp_path):
     assert blob[42:46] == b"ACGT"
     assert len(blob) == 46 + 4**3
     assert type(idx.entries) is bytes and blob[46:] == idx.entries
+
+
+# saves an index file of 46 + 4^4 bytes with files capped at 100 bytes, so
+# the write stops partway with EFBIG, as it would on a full disk
+SAVE_UNDER_FILE_SIZE_LIMIT = """
+import errno, resource, signal, sys
+from circmatch import build_alphabet, build_index
+idx = build_index(b"ACGTTGCAAC", 4, build_alphabet("ACGT"))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    idx.save(sys.argv[1])
+except OSError as exc:
+    sys.exit(errno.errorcode[exc.errno])
+"""
+
+
+def test_save_that_fails_partway_keeps_the_earlier_file(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "cache.idx"
+    build_index(b"ACGTTGCAAC", 3, build_alphabet("ACGT")).save(path)
+    before = path.read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SAVE_UNDER_FILE_SIZE_LIMIT, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "EFBIG\n")
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["cache.idx"]
 
 
 def test_pattern_digest_is_builtin_sha256():
@@ -341,7 +373,7 @@ def test_halves_split_the_reference_code(sigma, q):
     # entries[left + right]; equal codes give equal entries for any index
     letters = letters_for(sigma)
     a = build_alphabet(letters)
-    left, right = QGramIndex(q=q, alphabet=a, entries=b"", digest=b"").halves
+    left, right = qgramindex.half_tables(a, q)
     h = q // 2
     assert len(left) == sigma**h and len(right) == sigma ** (q - h)
     if sigma**q <= 20**4:
@@ -359,13 +391,23 @@ def test_halves_split_the_reference_code(sigma, q):
 
 def test_halves_miss_a_foreign_letter_on_either_side():
     a = build_alphabet("ACGT")
-    left, right = build_index(b"ACGTTGCAAC", 4, a).halves
+    left, right = qgramindex.half_tables(a, 4)
     assert b"AN" not in left and b"NA" not in left and b"AN" not in right
     assert left[b"CA"] + right[b"GT"] == encode_qgram(b"CAGT", a)
 
 
 def test_halves_built_once_per_index(monkeypatch):
+    # the tables depend on (alphabet, q) alone: another pattern of that
+    # alphabet and q, and a copy read back from the cache bytes, reuse them
     built = count_half_tables(monkeypatch)
-    idx = build_index(b"ACGTTGCAAC", 4, build_alphabet("ACGT"))
-    assert idx.halves is idx.halves and len(built) == 2
-    assert QGramIndex.from_bytes(idx.to_bytes()).halves == idx.halves and len(built) == 4
+    a = build_alphabet("ACGT")
+    idx = build_index(b"ACGTTGCAAC", 4, a)
+    tables = qgramindex.half_tables(idx.alphabet, idx.q)
+    assert len(built) == 2
+    other = build_index(b"TTGACCATGA", 4, build_alphabet("ACGT"))
+    copy = QGramIndex.from_bytes(idx.to_bytes())
+    for index in (idx, other, copy):
+        assert qgramindex.half_tables(index.alphabet, index.q) is tables
+    assert len(built) == 2
+    qgramindex.half_tables(a, 3)
+    assert len(built) == 4

@@ -16,7 +16,7 @@ from circmatch import (
     plan,
     search,
 )
-from circmatch import searcher
+from circmatch import qgramindex, searcher
 from circmatch.bitparallel import rotation_screen
 from circmatch.reference import oracle_search, rotate
 from circmatch.searcher import d_exponent
@@ -306,7 +306,7 @@ class _Misses(dict):
         raise KeyError(key)
 
 
-def test_filter_scan_foreign_letters_on_both_sides_of_the_split():
+def test_filter_scan_foreign_letters_on_both_sides_of_the_split(monkeypatch):
     # N planted in and around edited rotations lands in the left half of
     # some grams read and in the right half of others; filtration loses
     # nothing either way
@@ -316,8 +316,8 @@ def test_filter_scan_foreign_letters_on_both_sides_of_the_split():
     p = plan(len(x), 1, a)
     assert (p.mode, p.q) == ("filter", 4)
     idx = build_index(x, p.q, a)
-    left, right = idx.halves
-    idx.halves = tables = (_Misses(left), _Misses(right))
+    tables = tuple(map(_Misses, qgramindex.half_tables(a, p.q)))
+    monkeypatch.setattr(qgramindex, "half_tables", lambda *_: tables)
     for _ in range(6):
         t = bytearray(random_string(rng, b"ACGT", 120))
         plant_edited_rotation(rng, t, x, 1, b"ACGT")
