@@ -39,8 +39,14 @@ class Alphabet(NamedTuple("Alphabet", [("letters", bytes)])):
         return len(self.letters)
 
     def rank(self, letter: int | str | bytes) -> int | None:
-        """Rank of a letter, or None for a foreign letter."""
-        r = self.letters.find(to_bytes(letter) if isinstance(letter, str) else letter)
+        """Rank of a letter, given as a byte value or a one-letter str or
+        bytes; None for a foreign letter and for anything that is not one
+        letter."""
+        if not isinstance(letter, int):
+            if len(letter) != 1:
+                return None
+            letter = ord(letter)
+        r = self.letters.find(letter) if 0 <= letter < 256 else -1
         return None if r < 0 else r
 
 

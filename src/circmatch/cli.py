@@ -24,7 +24,7 @@ import sys
 
 from .alphabet import build_alphabet
 from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
-from .searcher import PlanError, SearchPlan, SearchStats, check_overrides, plan, search
+from .searcher import SearchPlan, SearchStats, check_overrides, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
 NEEDS_NUMPY = "numpy, the optional extra circmatch[reference]"
@@ -107,14 +107,11 @@ def _plan_and_index(args, pattern, alphabet):
         return None, None
     if args.mode == "verify-all":
         return SearchPlan.verify_all(m, args.k, args.epsilon), None
-    pln = plan(m, args.k, alphabet, q=args.q, c=args.c, epsilon=args.epsilon)
+    pln = plan(
+        m, args.k, alphabet, q=args.q, c=args.c, epsilon=args.epsilon,
+        fallback=args.mode != "filter",
+    )
     if pln.mode != "filter":
-        if args.mode == "filter":
-            raise PlanError(
-                "no feasible filter parameters; "
-                "c must satisfy k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0 "
-                "and the window must hold 2q + k/c"
-            )
         return pln, None
     idx = _load_cached_index(args, alphabet, pattern)
     if idx is None:

@@ -13,6 +13,8 @@ the search path, and `import circmatch` does not load this module.
   rotation with a work count.
 * `min_prefix_distances` and `oracle_search`: a vectorized banded pass
   over every start and rotation, sharing no kernel with the search.
+* `filter_scan`: the filter's window loop one window at a time, each gram
+  encoded letter by letter, for the counters and skips of `search`.
 * `build_doubled` and `brute_force_index`: the doubled pattern x + x[:-1],
   and the q-gram index by exhaustive enumeration of its factors.
 
@@ -47,6 +49,7 @@ import numpy as np
 
 from .alphabet import Alphabet, AlphabetError, to_bytes
 from .qgramindex import QGramIndex, pattern_digest
+from .searcher import SearchPlan
 from .verifier import Occurrence
 
 
@@ -473,6 +476,37 @@ def oracle_search(t: str | bytes, x: str | bytes, k: int) -> list[Occurrence]:
         Occurrence(int(p), int(lmin[r, p]), int(r), int(dmin[r, p]))
         for p, r in np.argwhere(dmin.T <= k)
     ]
+
+
+def filter_scan(t: str | bytes, plan: SearchPlan, idx: QGramIndex) -> tuple[int, int, int, list]:
+    """(windows_examined, windows_verified, qgrams_read, skips) of the filter
+    plan's window loop over t: each window reads its grams leftwards from
+    its end, each looked up as entries[encode_qgram(gram)] (0 for a gram
+    with a foreign letter), until the sum exceeds k and the window skips
+    one letter past the leftmost letter read, or all J are read and the
+    window is verified and left by its full length."""
+    tb = to_bytes(t)
+    k, q, wlen = plan.k, plan.q, plan.window_len
+    examined = verified = grams = p = 0
+    skips = []
+    while p + wlen <= len(tb):
+        examined += 1
+        total = 0
+        for read in range(1, plan.j_grams + 1):
+            end = p + wlen - (read - 1) * q
+            code = encode_qgram(tb[end - q : end], idx.alphabet)
+            total += 0 if code is None else idx.entries[code]
+            if total > k:
+                break
+        grams += read
+        if total > k:
+            shift = wlen - read * q + 1
+            skips.append((p, shift))
+        else:
+            verified += 1
+            shift = wlen
+        p += shift
+    return examined, verified, grams, skips
 
 
 def build_doubled(x: str | bytes) -> bytes:

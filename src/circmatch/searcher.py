@@ -10,18 +10,25 @@ entry lower-bounds the edit distance between that gram and anything
 inside any rotation, and any occurrence covering all grams read so far
 absorbs their summed differences, so once the sum exceeds k no occurrence
 can start at or before the leftmost letter read: the window skips one
-position past it.  If all J grams stay within budget the window is
-verified: its m-k starts join the run of verified starts [lo, hi) when
-the window touches it, and the window advances by its full length.  When
-a window that does not touch the run verifies, and at the end of the
-text, the run is settled by one pass of the rotation screen over
-t[lo : hi + m + k], which holds every factor within k of a rotation that
-starts in the run (such a factor is at most m + k letters long).  A
-window on its own gets a 2m-letter slice.  Runs are disjoint and settled
-left to right, so the occurrences come out sorted by (start, rotation)
-with no pass to merge them.  Verify-all mode has no window loop: it
-settles all n - (m - k) + 1 starts as one run, one pass over the text,
-and counts its windows by arithmetic.
+position past it.  Most windows skip on their first gram alone, by
+m - k - q + 1, so the loop reads each window's first gram in a tight inner
+loop that only looks the gram up, compares its entry with k and shifts;
+it counts those windows and their grams from the distance it moved, and
+it stops at a gram within k, at a foreign letter, or past the text's end,
+where the right half is too short to be in its table.  Only a window whose
+first gram stays within k reads its other J - 1 grams.
+
+If all J grams stay within budget the window is verified: its m-k starts
+join the run of verified starts [lo, hi) when the window touches it, and
+the window advances by its full length.  When a window that does not
+touch the run verifies, and at the end of the text, the run is settled by
+one pass of the rotation screen over t[lo : hi + m + k], which holds every
+factor within k of a rotation that starts in the run (such a factor is at
+most m + k letters long).  A window on its own gets a 2m-letter slice.
+Runs are disjoint and settled left to right, so the occurrences come out
+sorted by (start, rotation) with no pass to merge them.  Verify-all mode
+has no window loop: it settles all n - (m - k) + 1 starts as one run, one
+pass over the text, and counts its windows by arithmetic.
 
 Parameter planning sweeps q downwards from the largest value that the
 build-work budget MAX_WORK and the window allow.  At each q it takes c
@@ -193,6 +200,7 @@ def plan(
     q: int | None = None,
     c: float | None = None,
     epsilon: float = 0.5,
+    fallback: bool = True,
 ) -> SearchPlan:
     """Choose search parameters for a length-m pattern at threshold k.
 
@@ -201,16 +209,26 @@ def plan(
     returns the first (q, c) that `_rejection` accepts and whose q is at
     most the asymptotic bound.  A given q is a sweep over q alone, without
     that bound, in which a rejection raises PlanError.  When no q is left
-    the plan verifies every window, or raises if c was given.
+    the plan verifies every window, or raises if c was given.  Without
+    `fallback` it raises there too, naming why no q was left: the reason
+    at the last q swept, or the window or the work budget that left no q
+    to sweep.
     """
     if k < 0 or k >= m:
         raise PlanError(f"threshold k={k} must satisfy 0 <= k < m={m}")
     check_overrides(m, q, c, epsilon)
     sigma = a.size
+    why = None
     if q is None:
         qs = range(_q_caps(m, sigma, (m - k - 1) // 2), 0, -1)
         if not qs:
-            return SearchPlan.verify_all(m, k, epsilon)
+            if fallback:
+                return SearchPlan.verify_all(m, k, epsilon)
+            why = (
+                f"window m-k = {m - k} is shorter than 2q + 1 = 3 at q = 1"
+                if m - k < 3
+                else f"build work sigma^q (2m-q)(2q+1) sigma at q = 1 exceeds MAX_WORK = {MAX_WORK}"
+            )
     else:
         qs = [q]
     given = None if c is None else (c, d_exponent(c, sigma))
@@ -237,7 +255,11 @@ def plan(
         return SearchPlan(mode="filter", m=m, k=k, epsilon=epsilon, q=qv, c=cv, d=dv, j_grams=j)
     if given:
         raise PlanError(f"no q pairs with c={c} for m={m}, k={k}, sigma={sigma}")
-    return SearchPlan.verify_all(m, k, epsilon)
+    if fallback:
+        return SearchPlan.verify_all(m, k, epsilon)
+    if sigma < 2:
+        why = "a one-letter alphabet has d(c) = -inf at every c"
+    raise PlanError(f"no filter plan: {why}")
 
 
 def search(
@@ -299,40 +321,61 @@ def search(
     if idx.digest != pattern_digest(xb):
         raise ValueError("index was built for a different pattern")
     q, j_grams, entries = plan.q, plan.j_grams, idx.entries
-    # a gram g's entry is entries[left[g[:h]] + right[g[h:]]]; a half that
-    # is in neither table holds a foreign letter, and the gram adds 0
+    # a gram's entry is entries[left[gram[:h]] + right[gram[h:]]]; a half
+    # that is in neither table holds a foreign letter, and the gram adds 0
     left, right = qgramindex.half_tables(idx.alphabet, q)
     h = q // 2
     rlen = q - h
+    # a window's grams are read leftwards from its end, and g is where the
+    # gram being read splits: the gram is t[g - h : g + rlen]
+    fast = wlen - q + 1  # the shift of a window whose first gram exceeds k
+    first = wlen - rlen  # the first gram's split in the window at 0
+    span = (j_grams - 1) * q
     examined = verified = grams = 0
-    lo = hi = p = 0  # [lo, hi): the verified starts not yet settled
-    last = n - wlen
-    while p <= last:
+    lo = hi = 0  # [lo, hi): the verified starts not yet settled
+    g0 = first  # the first gram's split in the window at g0 - first
+    while True:
+        # windows whose first gram alone exceeds k, counted from the distance
+        # g0 moved; past the text's end the right half is short and in no
+        # table, so the lookup ends the run
+        run = g0
+        try:
+            while (ssum := entries[left[tb[g0 - h : g0]] + right[tb[g0 : g0 + rlen]]]) > k:
+                g0 += fast
+        except KeyError:
+            ssum = 0  # a foreign letter, or the end of the text
+        if run < g0:
+            ran = (g0 - run) // fast
+            examined += ran
+            grams += ran
+            if collect_skips:
+                skips.extend((g - first, fast) for g in range(run, g0, fast))
+        if g0 + rlen > n:
+            break
+        # the first gram is within k: read the other J - 1 leftwards until
+        # the summed entries exceed k or all J are read
         examined += 1
-        # read grams leftwards from the window end until the summed entries
-        # exceed k or all J are read
-        gend = p + wlen
-        ssum = jj = 0
-        while ssum <= k and jj < j_grams:
-            jj += 1
-            gmid = gend - rlen
+        g, stop = g0, g0 - span
+        while ssum <= k and g > stop:
+            g -= q
             try:
-                ssum += entries[left[tb[gmid - h : gmid]] + right[tb[gmid:gend]]]
+                ssum += entries[left[tb[g - h : g]] + right[tb[g : g + rlen]]]
             except KeyError:
                 pass
-            gend -= q
-        grams += jj
+        grams += (g0 - g) // q + 1
         if ssum > k:
-            shift = wlen - jj * q + 1
+            # one letter past the leftmost letter read
             if collect_skips:
-                skips.append((p, shift))
-            p += shift
+                skips.append((g0 - first, g + fast - g0))
+            g0 = g + fast
             continue
         verified += 1
+        p = g0 - first
         if p != hi:
             settle(lo, hi)
             lo = p
-        p = hi = p + wlen
+        hi = p + wlen
+        g0 += wlen
     settle(lo, hi)
     return occs, SearchStats(examined, verified, grams, settled + q * grams, len(occs), skips)
 

@@ -44,6 +44,14 @@ def test_unrank_roundtrip():
         assert a.rank(a.letters[r]) == r
 
 
+def test_rank_takes_one_letter_only():
+    a = build_alphabet("dna")
+    assert [a.rank(v) for v in (b"C", "C", ord("C"))] == [1, 1, 1]
+    # strings that are not one letter, and values that are no byte, rank nothing
+    for v in (b"CG", "CG", b"", "", "\u20ac", 256, -1):
+        assert a.rank(v) is None, v
+
+
 def test_encode_examples():
     ab = build_alphabet("ab")
     assert encode_qgram("aa", ab) == 0

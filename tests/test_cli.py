@@ -859,6 +859,26 @@ def test_cli_one_letter_alphabet(tmp_path):
     assert (code, out) == (2, b"") and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("pattern, text, k, reason", [
+    # d = -inf at every c on one letter, whatever the window
+    pytest.param("AA", b"AAAA", 0, "a one-letter alphabet has d(c) = -inf at every c", id="one-letter"),
+    pytest.param(
+        "ACGT", b"ACGTACGT", 2, "window m-k = 2 is shorter than 2q + 1 = 3 at q = 1", id="window"
+    ),
+    # eps m - k - q = 0 at q = 1, the last q swept
+    pytest.param(
+        "ACGTACGT", b"ACGTACGT", 3,
+        "no feasible c for q=1: need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0",
+        id="last-q",
+    ),
+])
+def test_cli_filter_mode_names_the_rule_that_failed(tmp_path, pattern, text, k, reason):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text)
+    argv = ["--pattern", pattern, "--text", str(path), "-k", str(k), "--mode", "filter"]
+    assert _run_main(main, argv) == (2, b"", f"error: no filter plan: {reason}\n")
+
+
 @pytest.mark.parametrize("pattern, text, row", [
     pytest.param("café".encode(), "un café noir".encode(), b"text\t3\t5\t0\t0\n", id="utf-8"),
     pytest.param(b"caf\xe9", b"un caf\xe9 noir", b"text\t3\t4\t0\t0\n", id="latin-1"),

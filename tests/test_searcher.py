@@ -17,8 +17,9 @@ from circmatch import (
     search,
 )
 from circmatch import qgramindex, searcher
+from circmatch._prng import random_letters
 from circmatch.bitparallel import rotation_screen
-from circmatch.reference import oracle_search, rotate
+from circmatch.reference import filter_scan, oracle_search, rotate
 from circmatch.searcher import d_exponent
 from helpers import (
     brute_search,
@@ -168,6 +169,17 @@ def test_plan_error_messages(m, k, sigma, kwargs, message):
     assert str(err.value) == message
 
 
+def test_plan_without_fallback_names_why_no_q_was_left():
+    a = build_alphabet("abcd")
+    assert plan(64, 2, a, fallback=False) == plan(64, 2, a)
+    # a build-work budget of 1 leaves no q to sweep
+    with index_budgets(1 << 14, 1), pytest.raises(PlanError) as err:
+        plan(64, 2, a, fallback=False)
+    assert str(err.value) == (
+        "no filter plan: build work sigma^q (2m-q)(2q+1) sigma at q = 1 exceeds MAX_WORK = 1"
+    )
+
+
 def test_plan_given_c_with_no_room_for_a_gram_verifies_all():
     # the window of 2 letters holds no 2q + k/c, so the plan verifies every
     # window before it looks at c, although d(0.9) <= 0 at sigma = 2
@@ -258,24 +270,38 @@ def test_filter_window_foreign_letters_force_verification():
     assert stats.qgrams_read == p.j_grams * stats.windows_examined
 
 
+# (path, text, occurrences): seeded DNA texts with a rotation of
+# GGCGAACTTGGTCACCCCGA planted whose letter N sits in an otherwise encodable
+# gram, read first by its window in the first text and after the window's
+# first gram in the second; the plan reads three 4-grams at k = 1
+FOREIGN_INSIDE = [
+    ("first", b"AGTATCTGATGAGATGATCACCGAGAGCCGGGGCGAGGAAGATGTACGGATACTTTCCGCACAGG"
+     b"GACTAGGTTGCGAACTTGGNCACCCCGAGCGAT", [Occurrence(74, 20, 1, 1)]),
+    ("later", b"GCGGCACTTGTGAAGTGTTCCCCACGCCGCTTGGGTCTTCTGTGTGCNAACTTGGTCACCCCGAGGTTCGCGTGGTG",
+     [Occurrence(45, 20, 1, 1), Occurrence(46, 20, 2, 1)]),
+]
+# per path, a copy of `search` that charges a gram whose half lookup misses
+# its full q on that path
+CHARGED = {
+    "first": ("ssum = 0  # a foreign letter", "ssum = q  # a foreign letter"),
+    "later": ("except KeyError:\n                pass", "except KeyError:\n                ssum += q"),
+}
+
+
 def test_filter_scan_foreign_letter_inside_occurrence():
-    # seeded DNA text with a rotation planted at 74 whose letter N sits in
-    # an otherwise encodable gram; the plan reads three 4-grams at k = 1
     a = build_alphabet("dna")
     x = b"GGCGAACTTGGTCACCCCGA"
-    t = (b"AGTATCTGATGAGATGATCACCGAGAGCCGGGGCGAGGAAGATGTACGGATACTTTCCGCACAGG"
-         b"GACTAGGTTGCGAACTTGGNCACCCCGAGCGAT")
     p = plan(len(x), 1, a)
     assert (p.mode, p.q, p.j_grams) == ("filter", 4, 3)
     idx = build_index(x, p.q, a)
-    got, _ = search(t, x, 1, p, idx)
-    assert got == brute_search(t, x, 1) == [Occurrence(74, 20, 1, 1)]
-    # N costs that gram one edit, not q: a copy that charges a gram whose
-    # half lookup misses its full q sums past k and skips the occurrence
-    # (taking the half that holds N as any one code loses nothing here)
-    missed = "except KeyError:\n                pass"
-    charged = load_mutant(searcher, missed, "except KeyError:\n                ssum += q")
-    assert charged.search(t, x, 1, p, idx)[0] != got
+    for path, t, want in FOREIGN_INSIDE:
+        got, _ = search(t, x, 1, p, idx)
+        assert got == brute_search(t, x, 1) == want
+        # N costs that gram one edit, not q: a copy that charges it q on the
+        # path that reads it sums past k and skips the occurrence (taking
+        # the half that holds N as any one code loses nothing here)
+        charged = load_mutant(searcher, *CHARGED[path])
+        assert charged.search(t, x, 1, p, idx)[0] != got, path
 
 
 @pytest.mark.parametrize("gram", [b"zb", b"bz", b"bb"])
@@ -328,37 +354,48 @@ def test_filter_scan_foreign_letters_on_both_sides_of_the_split(monkeypatch):
     assert all(any(b"N" in key for key in half.missed) for half in tables)
 
 
-# (letters, x, k, q, c, t): filter plans where a skip lands exactly on an
-# occurrence start, found by a seeded search over texts with planted
-# rotations
+# (path, letters, x, k, q, c, t): filter plans where a skip lands exactly
+# on an occurrence start, found by a seeded search over texts with planted
+# rotations; `path` is the path of the window loop that makes that skip,
+# on the window's first gram or after a later one
 SKIP_LANDINGS = [
-    ("ab", b"aabbaaabbbba", 0, 5, 0.01,
+    ("first", "ab", b"aabbaaabbbba", 0, 5, 0.01,
      b"abbbbaaaabbaaabbbbbbaabbaaabbbbaababbaabaaaabbbbaaabbbabbbaaabbaa"),
-    ("abcd", b"cdacacdaabcbcdaacdcb", 0, 4, 0.01,
+    ("first", "abcd", b"cdacacdaabcbcdaacdcb", 0, 4, 0.01,
      b"bdaadabababdddddddacacdaabcbcdaacdcbcbbcdaabcbcdaacdcbcdacabcdacaaa"),
-    ("abcd", b"cdbacaccbababdabdbbabb", 1, 5, 0.2,
+    ("first", "abcd", b"cdbacaccbababdabdbbabb", 1, 5, 0.2,
      b"dbdbabbbbbdcdabdbbabbcdbacaccbababbacdcbaabdabdbbabbcdbacacadcabacbadbbacb"),
-    ("abcd", b"dbacbabadaadbdbcaacc", 1, 4, 0.2,
+    ("later", "abcd", b"dbacbabadaadbdbcaacc", 1, 4, 0.2,
      b"cacacacbababdaadbdbcaaccdbadbacbabadabadbdbcaaccaabbbddadaaaccacdbadddabcdacdcdcbad"),
-    ("abcd", b"baadbabcbcdbadabccdcbdbd", 1, 5, 0.17,
+    ("first", "abcd", b"baadbabcbcdbadabccdcbdbd", 1, 5, 0.17,
      b"dddaadaddccdbacddccbbcbcdbadabccdcbdbdbaadbabbdcddbcdacaccaacccdccdbcacb"),
 ]
+# per path, a copy of `search` whose skip on that path is one letter longer
+LONGER = {
+    "first": ("g0 += fast\n", "g0 += fast + 1\n"),
+    "later": ("g0 = g + fast\n", "g0 = g + fast + 1\n"),
+}
 
 
 @pytest.mark.parametrize(
-    "letters, x, k, q, c, t", SKIP_LANDINGS,
-    ids=[f"sigma{len(c[0])}-m{len(c[1])}-k{c[2]}" for c in SKIP_LANDINGS],
+    "path, letters, x, k, q, c, t", SKIP_LANDINGS,
+    ids=[f"sigma{len(c[1])}-m{len(c[2])}-k{c[3]}" for c in SKIP_LANDINGS],
 )
-def test_search_skip_landing_on_occurrence_start(letters, x, k, q, c, t):
+def test_search_skip_landing_on_occurrence_start(path, letters, x, k, q, c, t):
     a = build_alphabet(letters)
     p = plan(len(x), k, a, q=q, c=c)
     idx = build_index(x, q, a)
     got, stats = search(t, x, k, p, idx, collect_skips=True)
     assert got == brute_search(t, x, k)
     starts = {o.start for o in got}
-    assert any(pos + shift in starts for pos, shift in stats.skips)
-    # a copy whose skip is one letter longer passes over that start
-    longer = load_mutant(searcher, "wlen - jj * q + 1", "wlen - jj * q + 2")
+    # a skip past the first gram alone is the longest, m - k - q + 1
+    fast = p.window_len - q + 1
+    assert any(
+        pos + shift in starts and (shift == fast) == (path == "first")
+        for pos, shift in stats.skips
+    )
+    # a copy whose skip on that path is one letter longer passes over that start
+    longer = load_mutant(searcher, *LONGER[path])
     assert longer.search(t, x, k, p, idx)[0] != got
 
 
@@ -529,6 +566,86 @@ def test_search_patterns_wider_than_a_machine_word():
         got, _ = search(t, x, k, p, idx)
         ref = oracle_search(t, x, k)
         assert got == ref and ref  # the planted rotation guarantees a hit
+
+
+# sha256 of the SearchStats, skips included, of the filter searches of a
+# seeded grid, computed with the window loop that counted window by window
+SCAN_GRID_DIGEST = "3bcb7bce63802f86eabbad98273692bb68bb068ad377e899c0de76de5660584d"
+
+
+def test_scan_counters_match_pinned_digest():
+    # the sublinear counters of the filter never change unnoticed: texts of
+    # 20 000 letters at sigma in {2, 4, 20}, m in {32, 64, 128}, k = m/32
+    # and m/16, under the plans of `plan`
+    h = hashlib.sha256()
+    for sigma in (2, 4, 20):
+        a = build_alphabet(bytes(range(sigma)))
+        t = random_letters(24, sigma, 20_000, sigma)
+        for m in (32, 64, 128):
+            x = random_letters(24, 100 + m, m, sigma)
+            for k in (m // 32, m // 16):
+                p = plan(m, k, a)
+                if p.mode == "filter":
+                    _, stats = search(t, x, k, p, build_index(x, p.q, a), collect_skips=True)
+                    h.update(repr((m, k, p.q, stats)).encode())
+    assert h.hexdigest() == SCAN_GRID_DIGEST
+
+
+@st.composite
+def scan_cases(draw):
+    """(alphabet, x, t, plan): filter plans of any q and J that the window
+    holds, over texts that may hold the foreign letter z and may be
+    shorter than the window."""
+    letters = letters_for(draw(st.sampled_from([2, 4])))
+    m = draw(st.integers(2, 16))
+    k = draw(st.integers(0, m // 3))
+    q = draw(st.integers(1, min(4, m - 1, m - k)))
+    j_grams = draw(st.integers(1, (m - k) // q))
+    x = bytes(draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m)))
+    t = bytes(draw(st.lists(st.sampled_from(letters + b"z"), max_size=80)))
+    p = SearchPlan("filter", m, k, 0.5, q, 0.5, 0.1, j_grams)
+    return build_alphabet(letters), x, t, p
+
+
+# (alphabet, x, t, plan) cases that between them read z in a window's first
+# gram and in a later one, skip on a first gram and after a later one,
+# verify J-capped windows (all J grams read, their sum within k), and
+# examine a window that ends at the text's end; the last text is shorter
+# than the window.  `search` reads no c or d from a plan
+SCAN_EXAMPLES = [
+    (build_alphabet("ab"), b"aaaaaaaa", b"bbbbbbbbbbbbzbbbaabaaaaaaabbbbbbbbab",
+     SearchPlan("filter", 8, 1, 0.5, 2, 0.5, 0.1, 3)),
+    (build_alphabet("abcd"), b"abcdabcdabcd", b"ddddddddddddabcdabzdabcdbbbbbbbbcabcdab",
+     SearchPlan("filter", 12, 2, 0.5, 3, 0.5, 0.1, 3)),
+    (build_alphabet("ab"), b"abaabb", b"abaab", SearchPlan("filter", 6, 0, 0.5, 2, 0.5, 0.1, 3)),
+]
+
+
+def _scan_counters(search_fn, case):
+    """(windows_examined, windows_verified, qgrams_read, skips) of
+    `search_fn` on the case, and of the reference scan."""
+    a, x, t, p = case
+    idx = build_index(x, p.q, a)
+    _, stats = search_fn(t, x, p.k, p, idx, collect_skips=True)
+    return (*stats[:3], stats.skips), filter_scan(t, p, idx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example(SCAN_EXAMPLES[0])
+@example(SCAN_EXAMPLES[1])
+@example(SCAN_EXAMPLES[2])
+def test_scan_counters_match_reference(case):
+    got, want = _scan_counters(search, case)
+    assert got == want
+
+
+def test_scan_counter_reference_catches_miscounted_first_gram_runs():
+    # a copy of `search` that counts each run of windows skipped on their
+    # first gram one window too many differs from the reference
+    miscount = load_mutant(searcher, "ran = (g0 - run) // fast", "ran = (g0 - run) // fast + 1")
+    counters = [_scan_counters(miscount.search, case) for case in SCAN_EXAMPLES]
+    assert any(got != want for got, want in counters)
 
 
 def test_stats_sanity_bound():
