@@ -152,8 +152,12 @@ def _search_and_emit(args, pattern, records, pln, idx) -> int:
         for o in occs:
             write(b"%s\t%d\t%d\t%d\t%d\n" % (name, o.start, o.length, o.rotation, o.distance))
     if args.stats:
-        write(f"# mode={args.mode if pln is None else pln.mode}\n".encode())
-        write("".join(f"# {field}={value}\n" for field, value in total.items()).encode())
+        # the mode, a filter plan's parameters, then the counters
+        block = {"mode": args.mode if pln is None else pln.mode}
+        if pln is not None and pln.mode == "filter":
+            block.update((field, getattr(pln, field)) for field in ("q", "c", "epsilon", "j_grams"))
+        block.update(total)
+        write("".join(f"# {field}={value}\n" for field, value in block.items()).encode())
     return 0 if total["occurrences_reported"] else 1
 
 

@@ -131,15 +131,17 @@ class QGramIndex(NamedTuple):
         """Write the file whole or not at all: into a new file beside
         `path`, renamed over it once written, so that a failed or killed
         run leaves an earlier file as it was and a reader never sees half
-        of one."""
+        of one.  An OSError names `path`, not the new file."""
         tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
         try:
             with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
                 fh.write(self.to_bytes())
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as exc:
             with contextlib.suppress(OSError):  # the new file may not exist
                 os.unlink(tmp)
+            if isinstance(exc, OSError):
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
             raise
 
     @classmethod

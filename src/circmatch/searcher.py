@@ -31,21 +31,21 @@ has no window loop: it settles all n - (m - k) + 1 starts as one run, one
 pass over the text, and counts its windows by arithmetic.
 
 Parameter planning sweeps q downwards from the largest value that the
-build-work budget MAX_WORK and the window allow.  At each q it takes c
-as given, or else the least c on a 0.01 grid, from k / (epsilon m - k - q)
-up, for which the window holds 2q + k/c, provided that the
-difference-rate exponent
+build-work budget MAX_WORK and the window allow, and one rule,
+`_filter_c`, accepts or rejects each q.  It takes c as given, or else the
+least c on a 0.01 grid, from k / (epsilon m - k - q) up, for which the
+window holds 2q + k/c; for sigma >= 8 the classical ceiling
+c < 1 - e/sqrt(sigma) caps the grid, and for smaller alphabets that bound
+is vacuous.  It then asks for sigma^q within the entry budget
+qgramindex.MAX_ENTRIES, a positive difference-rate exponent
 
-    d(c) = 1 - c + 2c log_sigma(c) + 2(1-c) log_sigma(1-c)
+    d(c) = 1 - c + 2c log_sigma(c) + 2(1-c) log_sigma(1-c),
 
-is positive there.  For sigma >= 8 the classical ceiling
-c < 1 - e/sqrt(sigma) caps the grid; for smaller alphabets that bound is
-vacuous and positivity of d(c) is the operative test.  The least c is
-also the one that maximizes d(c) over the feasible grid (see `_best_c`).
-One rule accepts or rejects each (q, c): sigma^q within the entry budget
-qgramindex.MAX_ENTRIES, d(c) > 0, and a window that holds 2q + k/c, and
-so the J grams, as J q < 2q + k/c.  The plan takes the first accepted q
-that is at most
+and a window that holds 2q + k/c, and so the J grams, as J q < 2q + k/c.
+The least c is also the one that maximizes d(c) over the feasible grid
+(the argument is in `_filter_c`).  A rejection names the one condition
+that failed, with its numbers.  The plan takes the first accepted q that
+is at most
 
     ceil((3 ln m + ln max(k, 1)) / (d(c) ln sigma)),
 
@@ -117,36 +117,48 @@ def _grams_per_window(k: int, c: float, q: int) -> int:
     return 1 + math.ceil(k / (c * q)) if k > 0 else 1
 
 
-def _c_ceiling(sigma: int) -> float:
-    ceil = 1 - math.e / math.sqrt(sigma)
-    return ceil if ceil > 0 else 1.0
+def _filter_c(
+    m: int, k: int, q: int, sigma: int, epsilon: float, c: float | None = None
+) -> tuple[float, float]:
+    """(c, d(c)) with which q-grams can filter: the given c, or else the
+    least c on the 0.01 grid, from k / (epsilon m - k - q) up and below
+    the ceiling, whose window holds 2q + k/c.  PlanError names, with its
+    numbers, the first of these conditions that fails: epsilon m - k - q
+    > 0, a grid c whose window holds 2q + k/c, sigma^q within the entry
+    budget qgramindex.MAX_ENTRIES, d(c) > 0, and a window that holds
+    2q + k/c, and so the J grams, as J q < 2q + k/c.
 
-
-def _best_c(m: int, k: int, q: int, sigma: int, epsilon: float) -> tuple[float, float] | None:
-    """(c, d(c)) for the least c on the 0.01 grid, from k / (epsilon m -
-    k - q) up and below the ceiling, whose window holds 2q + k/c; None
-    when there is no such c or d(c) <= 0.
-
-    That c also maximizes d over the feasible grid, since every larger c
-    holds the window too.  d is convex in c, least at sqrt(sigma) / (1 +
-    sqrt(sigma)).  For sigma >= 8 the ceiling 1 - e/sqrt(sigma) lies below
-    that point, so d falls along the whole grid.  For sigma <= 7, d rises
-    from that point towards d(1) = 0, and d(0.99) < 0, so d > 0 only where
-    it falls.  Either way no larger c has a greater d, nor d > 0 when the
-    least c has not.
+    The least grid c also maximizes d over the feasible grid, since every
+    larger c holds the window too.  d is convex in c, least at sqrt(sigma)
+    / (1 + sqrt(sigma)).  For sigma >= 8 the ceiling 1 - e/sqrt(sigma)
+    lies below that point, so d falls along the whole grid.  For sigma <=
+    7, d rises from that point towards d(1) = 0, and d(0.99) < 0, so d > 0
+    only where it falls.  Either way no larger c has a greater d, nor d > 0
+    when the least c has not.
     """
-    denom = epsilon * m - k - q
-    if k and denom <= 0:
-        return None
-    hi = _c_ceiling(sigma)
-    c = max(1, math.ceil(k / denom * 100)) if k else 1
-    while c <= 99 and c / 100 < hi:
-        cv = c / 100
-        if 2 * q + k / cv <= m - k:
-            dv = d_exponent(cv, sigma)
-            return (cv, dv) if dv > 0 else None
-        c += 1
-    return None
+    if c is None:
+        denom = epsilon * m - k - q
+        if k and denom <= 0:
+            raise PlanError(f"eps*m - k - q = {epsilon}*{m} - {k} - {q} = {denom:g} is not positive")
+        lo = max(1, math.ceil(k / denom * 100)) if k else 1
+        # below sigma = 8 the ceiling is not positive, and the grid runs to 0.99
+        hi = 1 - math.e / math.sqrt(sigma) if sigma >= 8 else 1.0
+        grid = (i / 100 for i in range(lo, 100) if i / 100 < hi)
+        c = next((cv for cv in grid if 2 * q + k / cv <= m - k), None)
+        if c is None:
+            raise PlanError(
+                f"no c on the 0.01 grid in [{lo / 100:g}, {hi:.3g}) lets the window "
+                f"m-k = {m - k} hold 2q + k/c at q = {q}"
+            )
+    if sigma**q > qgramindex.MAX_ENTRIES:
+        raise PlanError(f"sigma^q = {sigma**q} exceeds the index budget {qgramindex.MAX_ENTRIES}")
+    d = d_exponent(c, sigma)
+    if d <= 0:
+        raise PlanError(f"difference-rate exponent d(c={c:.3f}) = {d:.4f} is not positive")
+    need = 2 * q + (k / c if k else 0)
+    if need > m - k:
+        raise PlanError(f"window m-k = {m - k} cannot hold 2q + k/c = {need:.1f}")
+    return c, d
 
 
 # the build-work budget of `_q_caps`, read at each plan
@@ -155,7 +167,7 @@ MAX_WORK = 1 << 29
 
 def _q_caps(m: int, sigma: int, limit: int) -> int:
     """Largest q up to `limit` whose index fits the build-work budget,
-    MAX_WORK; `_rejection` holds the entry budget.
+    MAX_WORK; `_filter_c` holds the entry budget.
 
     The work term, sigma^q (2m - q)(2q + 1) sigma, is a planning bound,
     not a cost model of `build_index`, whose level-by-level trie build
@@ -167,19 +179,6 @@ def _q_caps(m: int, sigma: int, limit: int) -> int:
     while q < limit and sigma ** (q + 1) * (2 * m - q - 1) * (2 * q + 3) * sigma <= MAX_WORK:
         q += 1
     return q
-
-
-def _rejection(m: int, k: int, q: int, sigma: int, c: float, d: float) -> str | None:
-    """Why (q, c) with d = d(c) cannot filter, or None when it can.  A
-    window that holds 2q + k/c holds the J grams too, as J q < 2q + k/c."""
-    if sigma**q > qgramindex.MAX_ENTRIES:
-        return f"sigma^q = {sigma**q} exceeds the index budget {qgramindex.MAX_ENTRIES}"
-    if d <= 0:
-        return f"difference-rate exponent d(c={c:.3f}) = {d:.4f} is not positive"
-    need = 2 * q + (k / c if k else 0)
-    if need > m - k:
-        return f"window m-k = {m - k} cannot hold 2q + k/c = {need:.1f}"
-    return None
 
 
 def check_overrides(m: int, q: int | None, c: float | None, epsilon: float) -> None:
@@ -205,60 +204,48 @@ def plan(
     """Choose search parameters for a length-m pattern at threshold k.
 
     One sweep takes q downwards from the largest value that the work
-    budget and the window allow, with the given c or each q's best c, and
-    returns the first (q, c) that `_rejection` accepts and whose q is at
-    most the asymptotic bound.  A given q is a sweep over q alone, without
-    that bound, in which a rejection raises PlanError.  When no q is left
-    the plan verifies every window, or raises if c was given.  Without
-    `fallback` it raises there too, naming why no q was left: the reason
-    at the last q swept, or the window or the work budget that left no q
-    to sweep.
+    budget and the window allow, and returns the first (q, c) that
+    `_filter_c` gives whose q is at most the asymptotic bound.  A given q
+    is a sweep over q alone, without that bound, and raises the PlanError
+    of `_filter_c`.  When the sweep leaves no q, a given c raises the
+    reason at the last q swept; otherwise the plan verifies every window,
+    or without `fallback` raises "no filter plan:" with that reason, or
+    with the window or the work budget that left no q to sweep.
     """
     if k < 0 or k >= m:
         raise PlanError(f"threshold k={k} must satisfy 0 <= k < m={m}")
     check_overrides(m, q, c, epsilon)
     sigma = a.size
-    why = None
-    if q is None:
-        qs = range(_q_caps(m, sigma, (m - k - 1) // 2), 0, -1)
-        if not qs:
-            if fallback:
-                return SearchPlan.verify_all(m, k, epsilon)
-            why = (
-                f"window m-k = {m - k} is shorter than 2q + 1 = 3 at q = 1"
-                if m - k < 3
-                else f"build work sigma^q (2m-q)(2q+1) sigma at q = 1 exceeds MAX_WORK = {MAX_WORK}"
-            )
-    else:
+    if q is not None:
         qs = [q]
-    given = None if c is None else (c, d_exponent(c, sigma))
+    elif not (qs := range(_q_caps(m, sigma, (m - k - 1) // 2), 0, -1)):
+        if fallback:
+            return SearchPlan.verify_all(m, k, epsilon)
+        why = (
+            f"window m-k = {m - k} is shorter than 2q + 1 = 3 at q = 1"
+            if m - k < 3
+            else f"build work sigma^q (2m-q)(2q+1) sigma at q = 1 exceeds MAX_WORK = {MAX_WORK}"
+        )
+        raise PlanError(f"no filter plan: {why}")
     # a swept q is at most the asymptotic (3 ln m + ln k) / (d ln sigma)
     top = 3 * math.log(m) + math.log(max(k, 1))
     for qv in qs:
-        got = given or _best_c(m, k, qv, sigma, epsilon)
-        if got is None:
-            why = (
-                f"no feasible c for q={qv}: "
-                "need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0"
-            )
-        else:
-            why = _rejection(m, k, qv, sigma, *got)
-        if why:
-            # a given c with d(c) <= 0 is rejected at every q
-            if q is not None or given and given[1] <= 0:
-                raise PlanError(why)
+        try:
+            cv, dv = _filter_c(m, k, qv, sigma, epsilon, c)
+        except PlanError as err:
+            if q is not None:
+                raise
+            why = err
             continue
-        cv, dv = got
         if q is None and qv > math.ceil(top / (math.log(sigma) * dv)):
             continue
         j = _grams_per_window(k, cv, qv)
         return SearchPlan(mode="filter", m=m, k=k, epsilon=epsilon, q=qv, c=cv, d=dv, j_grams=j)
-    if given:
-        raise PlanError(f"no q pairs with c={c} for m={m}, k={k}, sigma={sigma}")
+    # q = 1 is never above the bound, so `why` is its reason
+    if c is not None:
+        raise why
     if fallback:
         return SearchPlan.verify_all(m, k, epsilon)
-    if sigma < 2:
-        why = "a one-letter alphabet has d(c) = -inf at every c"
     raise PlanError(f"no filter plan: {why}")
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from circmatch import bitparallel, cli, searcher
+from circmatch import bitparallel, build_alphabet, cli, searcher
 from circmatch.bitparallel import rotation_screen
 from circmatch.cli import _records_from_bytes, main
 from helpers import (
@@ -212,9 +212,23 @@ def test_cli_stats_block(tmp_path, capsys):
         ["--pattern", "ACGTACGT", "--text", str(text), "-k", "0", "--stats"], capsys
     )
     assert code == 0
-    assert "# mode=" in out
+    # a filter run shows its plan after the mode
+    p = searcher.plan(8, 0, build_alphabet("ACGT"))
+    assert p.mode == "filter"
+    block = [line for line in out.splitlines() if line.startswith("#")]
+    assert block[:5] == [
+        "# mode=filter", f"# q={p.q}", f"# c={p.c}", f"# epsilon={p.epsilon}", f"# j_grams={p.j_grams}"
+    ]
     assert "# windows_examined=" in out
     assert "# chars_inspected=" in out
+    # verify-all and oracle runs show none
+    for mode in ("verify-all", "oracle"):
+        code, out, _ = run_cli(
+            ["--pattern", "ACGTACGT", "--text", str(text), "-k", "0", "--stats", "--mode", mode],
+            capsys,
+        )
+        block = [line for line in out.splitlines() if line.startswith("#")]
+        assert block[0] == f"# mode={mode}" and block[1].startswith("# windows_examined=")
 
 
 def test_cli_header_flag(tmp_path, capsys):
@@ -495,10 +509,13 @@ def test_cli_pattern_file_with_two_records_exits_2(tmp_path, capsys):
 ])
 def test_cli_index_cache_path_errors_exit_2(tmp_path, capsys, cache):
     args = _cache_args(tmp_path, "ACGTACGTACGTTGCA")
-    args[args.index("--index-cache") + 1] = str(cache(tmp_path))
+    path = str(cache(tmp_path))
+    args[args.index("--index-cache") + 1] = path
     code, out, err = run_cli(args + ["--header", "--stats"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    # the error names the path given, not the temporary file of a save
+    assert err.endswith(f": {path!r}\n") and ".tmp" not in err
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -860,15 +877,17 @@ def test_cli_one_letter_alphabet(tmp_path):
 
 
 @pytest.mark.parametrize("pattern, text, k, reason", [
-    # d = -inf at every c on one letter, whatever the window
-    pytest.param("AA", b"AAAA", 0, "a one-letter alphabet has d(c) = -inf at every c", id="one-letter"),
+    # d = -inf at every c on one letter, once the window holds a q
+    pytest.param(
+        "AAAAAAAA", b"AAAAAAAAAA", 0,
+        "difference-rate exponent d(c=0.010) = -inf is not positive", id="one-letter",
+    ),
     pytest.param(
         "ACGT", b"ACGTACGT", 2, "window m-k = 2 is shorter than 2q + 1 = 3 at q = 1", id="window"
     ),
     # eps m - k - q = 0 at q = 1, the last q swept
     pytest.param(
-        "ACGTACGT", b"ACGTACGT", 3,
-        "no feasible c for q=1: need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0",
+        "ACGTACGT", b"ACGTACGT", 3, "eps*m - k - q = 0.5*8 - 3 - 1 = 0 is not positive",
         id="last-q",
     ),
 ])

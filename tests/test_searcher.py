@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,7 +141,6 @@ def test_plan_override_validation():
 
 
 EXPONENT_NOT_POSITIVE = "difference-rate exponent d(c=0.900) = -0.3690 is not positive"
-NO_C_FOR_Q = "no feasible c for q={}: need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma) with d(c) > 0"
 
 
 @pytest.mark.parametrize(
@@ -157,16 +157,63 @@ NO_C_FOR_Q = "no feasible c for q={}: need k/(eps*m-k-q) <= c < 1 - e/sqrt(sigma
         (64, 2, 4, {"q": 6, "c": 0.9}, EXPONENT_NOT_POSITIVE),
         (64, 2, 4, {"c": 0.9}, EXPONENT_NOT_POSITIVE),
         (40, 2, 4, {"q": 10, "c": 0.1}, "window m-k = 38 cannot hold 2q + k/c = 40.0"),
-        (64, 2, 4, {"q": 40}, NO_C_FOR_Q.format(40)),
-        # with q given alone, a q with no feasible c is reported before the budget
-        (10, 2, 20, {"q": 7}, NO_C_FOR_Q.format(7)),
-        (12, 3, 4, {"c": 0.05}, "no q pairs with c=0.05 for m=12, k=3, sigma=4"),
+        (64, 2, 4, {"q": 40}, "eps*m - k - q = 0.5*64 - 2 - 40 = -10 is not positive"),
+        # with q given alone, the search for c is checked before the budget
+        (10, 2, 20, {"q": 7}, "eps*m - k - q = 0.5*10 - 2 - 7 = -4 is not positive"),
+        # a given c that no q pairs with: the reason at q = 1, the last q swept
+        (12, 3, 4, {"c": 0.05}, "window m-k = 9 cannot hold 2q + k/c = 62.0"),
+        (
+            20, 4, 4, {"q": 6, "epsilon": 0.9},
+            "no c on the 0.01 grid in [0.5, 1) lets the window m-k = 16 hold 2q + k/c at q = 6",
+        ),
     ],
 )
 def test_plan_error_messages(m, k, sigma, kwargs, message):
     with pytest.raises(PlanError) as err:
         plan(m, k, build_alphabet(letters_for(sigma)), **kwargs)
     assert str(err.value) == message
+
+
+# one template for each condition that can leave a plan without a q;
+# "no filter plan: " leads the message where the plan would verify all
+PLAN_RULES = {
+    "eps*m - k - q": r"eps\*m - k - q = [\d.]+\*\d+ - \d+ - \d+ = -?\d+(\.\d+)? is not positive",
+    "grid": (
+        r"no c on the 0\.01 grid in \[\d+(\.\d+)?, [\d.]+\) lets the window "
+        r"m-k = \d+ hold 2q \+ k/c at q = \d+"
+    ),
+    "entries": r"sigma\^q = \d+ exceeds the index budget \d+",
+    "d(c)": r"difference-rate exponent d\(c=[\d.]+\) = -?[\d.]+ is not positive",
+    "window": r"window m-k = \d+ cannot hold 2q \+ k/c = [\d.]+",
+    "short window": r"window m-k = \d+ is shorter than 2q \+ 1 = 3 at q = 1",
+    "work": r"build work sigma\^q \(2m-q\)\(2q\+1\) sigma at q = 1 exceeds MAX_WORK = \d+",
+}
+
+
+def test_plan_errors_over_the_grid_name_one_rule():
+    # the pinned grid's cases, each also with fallback=False and with q
+    # given: every PlanError names exactly one rule, and every rule is seen
+    seen = dict.fromkeys(PLAN_RULES, 0)
+    for sigma in (2, 4, 8, 20):
+        a = build_alphabet(letters_for(sigma))
+        for m in [*range(2, 41), 64, 100, 128, 256]:
+            for k in range(min(m, 10)):
+                for kwargs, budgets in PLAN_GRID:
+                    tries = [{"fallback": False}, *({"q": q} for q in (1, 2, 4, 7, 12) if q < m)]
+                    if "c" in kwargs:
+                        tries.append({})
+                    for extra in tries:
+                        try:
+                            with index_budgets(*budgets) if budgets else contextlib.nullcontext():
+                                plan(m, k, a, **kwargs, **extra)
+                        except PlanError as exc:
+                            message = str(exc).removeprefix("no filter plan: ")
+                            rules = [r for r, t in PLAN_RULES.items() if re.fullmatch(t, message)]
+                            assert len(rules) == 1, (sigma, m, k, kwargs, extra, str(exc))
+                            seen[rules[0]] += 1
+    # the work budget leaves no q to sweep only past m = 1748 at sigma = 20,
+    # which the next test reaches by a smaller budget
+    assert all(n for rule, n in seen.items() if rule != "work"), seen
 
 
 def test_plan_without_fallback_names_why_no_q_was_left():
@@ -193,11 +240,11 @@ def test_one_letter_alphabet_verifies_all_windows():
     got, _ = search(b"AAAA", b"AA", 0, p)
     assert got == brute_search(b"AAAA", b"AA", 0) and len(got) == 6
     # d = -inf at sigma = 1, so a given q or c is refused
-    not_positive = "difference-rate exponent d(c=0.100) = -inf is not positive"
+    not_positive = "difference-rate exponent d(c={}) = -inf is not positive"
     for kwargs, message in [
-        ({"q": 2}, NO_C_FOR_Q.format(2)),
-        ({"q": 2, "c": 0.1}, not_positive),
-        ({"c": 0.1}, not_positive),
+        ({"q": 2}, not_positive.format("0.010")),
+        ({"q": 2, "c": 0.1}, not_positive.format("0.100")),
+        ({"c": 0.1}, not_positive.format("0.100")),
     ]:
         with pytest.raises(PlanError) as err:
             plan(8, 0, a, **kwargs)
