@@ -42,20 +42,22 @@ def parse_alphabet(arg: str) -> str | bytes:
 
 
 def _load_cached_index(args, alphabet, pattern):
+    """The index in --index-cache, None when the file is missing; a file
+    that cannot serve this run raises one ValueError that names it."""
     if not args.index_cache:
         return None
     try:
         idx = QGramIndex.load(args.index_cache)
+        if idx.digest != pattern_digest(pattern):
+            raise ValueError("it was built for a different pattern")
+        if idx.alphabet != alphabet:
+            raise ValueError("it was built for a different alphabet")
     except FileNotFoundError:
         return None
-    if idx.digest != pattern_digest(pattern):
+    except ValueError as exc:
         raise ValueError(
-            "cached index was built for a different pattern; remove the cache file"
-        )
-    if idx.alphabet != alphabet:
-        raise ValueError(
-            "cached index was built for a different alphabet; remove the cache file"
-        )
+            f"cannot use index cache {args.index_cache!r}: {exc}; remove the cache file"
+        ) from None
     if args.q is not None and idx.q != args.q:
         raise ValueError(f"cached index has q={idx.q} but q={args.q} was requested")
     return idx

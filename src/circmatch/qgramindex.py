@@ -84,7 +84,10 @@ try:
 except ImportError:  # an interpreter built without the builtin hashes
     from hashlib import sha256
 
-MAGIC = b"CIRCIDX2"
+# the layout of a cache file; a builder that writes other entries for some
+# (pattern, q, alphabet) than the builders before it must change MAGIC, so
+# that the files they wrote fail on it and are rebuilt
+MAGIC = b"CIRCIDX3"
 DIGEST_LEN = 32
 # the most entries an index may hold, read at each build and plan
 MAX_ENTRIES = 1 << 26
@@ -117,12 +120,14 @@ class QGramIndex(NamedTuple):
         )
 
     def to_bytes(self) -> bytes:
-        """MAGIC, sigma, q, pattern digest, letters, entries."""
+        """MAGIC, sigma, q, pattern digest, entries digest, letters,
+        entries."""
         sigma = self.alphabet.size
         return (
             MAGIC
             + bytes([sigma, self.q])
             + self.digest
+            + sha256(self.entries).digest()
             + self.alphabet.letters
             + self.entries
         )
@@ -148,7 +153,7 @@ class QGramIndex(NamedTuple):
     def from_bytes(cls, blob: bytes) -> "QGramIndex":
         if not blob.startswith(MAGIC):
             raise ValueError("not an index file (bad magic)")
-        off = len(MAGIC) + 2 + DIGEST_LEN
+        off = len(MAGIC) + 2 + 2 * DIGEST_LEN
         if len(blob) < off or len(blob) < off + blob[len(MAGIC)]:
             raise ValueError("index file header is truncated")
         sigma, q = blob[len(MAGIC)], blob[len(MAGIC) + 1]
@@ -163,7 +168,10 @@ class QGramIndex(NamedTuple):
             raise ValueError(f"index body has {len(body)} entries, expected {sigma**q}")
         if body.translate(None, bytes(range(q + 1))):
             raise ValueError(f"index file has an entry above q = {q}")
-        return cls(q=q, alphabet=alphabet, entries=body, digest=blob[off - DIGEST_LEN : off])
+        if sha256(body).digest() != blob[off - DIGEST_LEN : off]:
+            raise ValueError("index entries do not match their digest")
+        digest = blob[off - 2 * DIGEST_LEN : off - DIGEST_LEN]
+        return cls(q=q, alphabet=alphabet, entries=body, digest=digest)
 
     @classmethod
     def load(cls, path) -> "QGramIndex":

@@ -360,9 +360,13 @@ def test_cli_index_cache_rejects_other_pattern(tmp_path, capsys):
     "corrupt",
     [
         pytest.param(lambda blob: blob[:8], id="magic-only"),
-        pytest.param(lambda blob: blob[:44], id="cut-inside-letters"),
+        pytest.param(lambda blob: blob[:76], id="cut-inside-letters"),
         pytest.param(lambda blob: blob[:-1] + bytes([blob[9] + 1]), id="entry-above-q"),
-        pytest.param(lambda blob: b"CIRCIDX1" + blob[8:10] + blob[42:], id="old-layout"),
+        pytest.param(lambda blob: b"CIRCIDX1" + blob[8:10] + blob[74:], id="old-layout"),
+        pytest.param(lambda blob: b"CIRCIDX2" + blob[8:42] + blob[74:], id="previous-layout"),
+        # the last entry lowered or raised, still inside [0, q]
+        pytest.param(lambda blob: blob[:-1] + bytes([(blob[-1] + 1) % (blob[9] + 1)]),
+                     id="entry-within-q"),
     ],
 )
 def test_cli_corrupt_index_cache_exits_2(tmp_path, capsys, corrupt):
@@ -372,7 +376,31 @@ def test_cli_corrupt_index_cache_exits_2(tmp_path, capsys, corrupt):
     cache.write_bytes(corrupt(cache.read_bytes()))
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot use index cache {str(cache)!r}: ")
+    assert err.endswith("; remove the cache file\n") and err.count("\n") == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(where=st.integers(0, 2**16), lift=st.integers(0, 2**16))
+def test_cli_cache_with_one_entry_changed_inside_0_q_exits_2(where, lift):
+    # the loader's range check cannot see such an entry, and a changed
+    # entry can lose or add rows: only the entries digest catches it
+    with tempfile.TemporaryDirectory() as tmp:
+        args = _cache_args(Path(tmp), "ACGTACGTACGTTGCA")
+        cache = Path(tmp) / "idx.bin"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        blob = bytearray(cache.read_bytes())
+        sigma, q = blob[8], blob[9]
+        at = len(blob) - sigma**q + where % sigma**q
+        blob[at] = (blob[at] + 1 + lift % q) % (q + 1)  # another value in [0, q]
+        cache.write_bytes(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: cannot use index cache {str(cache)!r}: ")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_cli_index_cache_roundtrip(tmp_path, capsys):

@@ -295,12 +295,13 @@ def test_serialization_roundtrip(tmp_path):
     assert loaded == idx
     assert loaded.entries == idx.entries
     blob = idx.to_bytes()
-    assert blob.startswith(b"CIRCIDX2")
+    assert blob.startswith(b"CIRCIDX3")
     assert blob[8] == 4 and blob[9] == 3
     assert blob[10:42] == hashlib.sha256(x).digest()
-    assert blob[42:46] == b"ACGT"
-    assert len(blob) == 46 + 4**3
-    assert type(idx.entries) is bytes and blob[46:] == idx.entries
+    assert blob[42:74] == hashlib.sha256(idx.entries).digest()
+    assert blob[74:78] == b"ACGT"
+    assert len(blob) == 78 + 4**3
+    assert type(idx.entries) is bytes and blob[78:] == idx.entries
 
 
 # saves an index file of 46 + 4^4 bytes with files capped at 100 bytes, so
@@ -353,12 +354,19 @@ def _cache_blob() -> bytes:
 @pytest.mark.parametrize(
     "blob",
     [
-        pytest.param(b"CIRCIDX2", id="magic-only"),
-        pytest.param(_cache_blob()[:44], id="cut-inside-letters"),
+        pytest.param(b"CIRCIDX3", id="magic-only"),
+        pytest.param(_cache_blob()[:76], id="cut-inside-letters"),
         pytest.param(_cache_blob()[:9] + b"\x00" + _cache_blob()[10:], id="q-zero"),
-        pytest.param(_cache_blob()[:42] + b"AACC" + _cache_blob()[46:], id="duplicate-letters"),
+        pytest.param(_cache_blob()[:74] + b"AACC" + _cache_blob()[78:], id="duplicate-letters"),
         pytest.param(_cache_blob()[:-1] + b"\x04", id="entry-above-q"),
         pytest.param(b"CIRCIDX1\x04\x03ACGT" + bytes(64), id="old-layout"),
+        # the previous layout, without the entries digest, on its own magic
+        pytest.param(b"CIRCIDX2" + _cache_blob()[8:42] + _cache_blob()[74:], id="previous-layout"),
+        # an entry lowered or raised inside [0, q], which only the digest catches
+        pytest.param(
+            _cache_blob()[:-1] + bytes([(_cache_blob()[-1] + 1) % 4]), id="entry-within-q"
+        ),
+        pytest.param(_cache_blob()[:42] + bytes(32) + _cache_blob()[74:], id="entries-digest"),
     ],
 )
 def test_from_bytes_rejects_corrupt_header(blob):
