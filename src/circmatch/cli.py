@@ -8,11 +8,12 @@ Search usage (flags at top level), e.g.:
 
 Output is one TSV row per occurrence: record, start, length, rotation,
 distance.  Exit status follows grep: 0 when something was found, 1 when
-nothing was, 2 on errors.
+nothing was, 2 on errors, a failed write to stdout among them.
 
-`main` reads the pattern and the records with `_records_from_bytes`, whose
-rules the README states; `run` checks them, plans and builds or loads the
-index, then searches every record and writes its rows.
+`_search_main` reads the pattern and the records with
+`_records_from_bytes`, whose rules the README states; `run` checks them,
+plans and builds or loads the index, then searches every record and
+writes its rows.
 """
 
 from __future__ import annotations
@@ -41,26 +42,21 @@ def parse_alphabet(arg: str) -> str | bytes:
     raise ValueError(f"unknown alphabet {arg!r}; use dna, auto or letters:STR")
 
 
-def _load_cached_index(args, alphabet, pattern):
-    """The index in --index-cache, None when the file is missing; a file
-    that cannot serve this run raises one ValueError that names it."""
-    if not args.index_cache:
+def _load_cached_index(path, pattern, q, alphabet):
+    """The index in the --index-cache file `path`, or None for no path, no
+    file, or a file of another q or alphabet; a file that is not a valid
+    index of this pattern raises one ValueError that names it."""
+    if not path:
         return None
     try:
-        idx = QGramIndex.load(args.index_cache)
+        idx = QGramIndex.load(path)
         if idx.digest != pattern_digest(pattern):
             raise ValueError("it was built for a different pattern")
-        if idx.alphabet != alphabet:
-            raise ValueError("it was built for a different alphabet")
     except FileNotFoundError:
         return None
     except ValueError as exc:
-        raise ValueError(
-            f"cannot use index cache {args.index_cache!r}: {exc}; remove the cache file"
-        ) from None
-    if args.q is not None and idx.q != args.q:
-        raise ValueError(f"cached index has q={idx.q} but q={args.q} was requested")
-    return idx
+        raise ValueError(f"cannot use index cache {path!r}: {exc}; remove the cache file") from None
+    return idx if (idx.q, idx.alphabet) == (q, alphabet) else None
 
 
 def _checked_inputs(args, pattern, records):
@@ -102,8 +98,8 @@ def _checked_inputs(args, pattern, records):
 
 def _plan_and_index(args, pattern, alphabet):
     """The plan of the run (None in oracle mode) and, for a filter plan,
-    its index: loaded from --index-cache when the file exists, else built
-    and saved there."""
+    its index: loaded from --index-cache when the file holds the plan's q
+    and alphabet, else built and saved there."""
     m = len(pattern)
     if args.mode == "oracle":
         return None, None
@@ -115,14 +111,11 @@ def _plan_and_index(args, pattern, alphabet):
     )
     if pln.mode != "filter":
         return pln, None
-    idx = _load_cached_index(args, alphabet, pattern)
+    idx = _load_cached_index(args.index_cache, pattern, pln.q, alphabet)
     if idx is None:
         idx = build_index(pattern, pln.q, alphabet)
         if args.index_cache:
             idx.save(args.index_cache)
-    elif idx.q != pln.q:
-        # the cache fixes q; replan around it (raises if infeasible)
-        pln = plan(m, args.k, alphabet, q=idx.q, c=args.c, epsilon=args.epsilon)
     return pln, idx
 
 
@@ -242,11 +235,8 @@ def _search_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        from .bench import main as bench_main
-        return bench_main(argv[1:])
+def _search_main(argv: list[str]) -> int:
+    """A search run's exit status: its arguments parsed, its inputs read."""
     args = _search_parser().parse_args(argv)
     try:
         if args.pattern is not None:
@@ -262,14 +252,26 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return run(args, pattern, records)
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        status = run(args, pattern, records)
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        if argv and argv[0] == "bench":
+            from .bench import main as bench_main
+            status = bench_main(argv[1:])
+        else:
+            status = _search_main(argv)
+        sys.stdout.flush()  # so that a failed write shows here, not at exit
         return status
-    except BrokenPipeError:
-        # the reader closed stdout, as `head` does: stop without a traceback,
-        # and send what is still buffered to devnull, where the flush at exit
-        # cannot fail
+    except OSError as exc:
+        # a reader that closed stdout, as `head` does, stops the run without
+        # a word; any other failed write, such as to a full disk, gets one
+        # line.  What is still buffered goes to devnull, where the flush at
+        # exit cannot fail
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 

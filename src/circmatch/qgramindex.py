@@ -136,8 +136,11 @@ class QGramIndex(NamedTuple):
         """Write the file whole or not at all: into a new file beside
         `path`, renamed over it once written, so that a failed or killed
         run leaves an earlier file as it was and a reader never sees half
-        of one.  An OSError names `path`, not the new file."""
-        tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+        of one.  The new file's name has a fixed length, so that any name
+        `path` may have fits.  An OSError names `path`, not the new file."""
+        tmp = os.path.join(
+            os.path.dirname(os.fsdecode(path)), f".circidx-{os.urandom(6).hex()}.tmp"
+        )
         try:
             with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
                 fh.write(self.to_bytes())

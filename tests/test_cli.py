@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from circmatch import bitparallel, build_alphabet, cli, searcher
 from circmatch.bitparallel import rotation_screen
 from circmatch.cli import _records_from_bytes, main
+from circmatch.qgramindex import QGramIndex
 from helpers import (
     brute_search, count_half_tables, load_mutant, plant_edited_rotation, random_string,
 )
@@ -415,6 +416,36 @@ def test_cli_index_cache_roundtrip(tmp_path, capsys):
     assert (code1, out1) == (code2, out2)
 
 
+@pytest.mark.parametrize("flow", ["k1-then-k5", "k5-then-k1", "q8-then-q6", "auto-alphabet"])
+def test_cli_index_cache_never_changes_a_run(tmp_path, flow):
+    # the runs of a flow share one cache file, which a run whose plan has
+    # another q, or whose alphabet differs, rebuilds: each run's exit
+    # status, rows and --stats block are those of the run without the cache
+    rng = random.Random(27)
+    pattern = random_string(rng, b"ACGT", 32 if flow == "auto-alphabet" else 64)
+    text = bytearray(random_string(rng, b"ACGT", 2000))
+    plant_edited_rotation(rng, text, pattern, 1, b"ACGT")
+    dna = ["--alphabet", "dna"]
+    runs = {
+        # -k 1 plans q = 8 and -k 5 plans q = 4
+        "k1-then-k5": [(text, [*dna, "-k", "1"]), (text, [*dna, "-k", "5"])],
+        "k5-then-k1": [(text, [*dna, "-k", "5"]), (text, [*dna, "-k", "1"])],
+        "q8-then-q6": [(text, [*dna, "-k", "2", "--q", "8"]), (text, [*dna, "-k", "2", "--q", "6"])],
+        # --alphabet auto takes its letters from the text: ACGT, then ACGNT
+        "auto-alphabet": [(text, ["-k", "1", "--epsilon", "0.8"]),
+                          (text[:1000] + b"N" + text[1000:], ["-k", "1", "--epsilon", "0.8"])],
+    }[flow]
+    cache, path = tmp_path / "idx.bin", tmp_path / "t.txt"
+    for seq, extra in runs:
+        path.write_bytes(seq)
+        argv = ["--pattern", pattern.decode(), "--text", str(path), "--stats", *extra]
+        want = _run_main(main, argv)
+        assert _run_main(main, [*argv, "--index-cache", str(cache)]) == want
+    idx = QGramIndex.load(cache)
+    assert idx.q == int(re.search(rb"^# q=(\d+)$", want[1], re.M).group(1))
+    assert idx.alphabet == build_alphabet("dna" if "dna" in extra else "auto", data=[pattern, seq])
+
+
 def test_cli_periodic_multi_record_modes_match_oracle(tmp_path, capsys):
     # a period-3 pattern in repetitive records gives many (start, rotation)
     # hits per block; auto mode takes a filter plan at 16:1 on DNA
@@ -587,6 +618,33 @@ def test_cli_closed_stdout_stops_quietly(tmp_path, reader, buffered):
         proc.kill()
         proc.stderr.close()
     assert (code, err) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--pattern", "ACGTACGTTGCA", "-k", "0"], id="rows"),
+    pytest.param(["--pattern", "GGGGGGGGGGGG", "-k", "0", "--header"], id="header-no-rows"),
+    pytest.param(["bench", "--sigma", "4", "--n", "200", "--pairs", "16:1"], id="bench"),
+])
+def test_cli_failed_write_to_stdout_exits_2(tmp_path, argv, buffered):
+    # a full disk is an error, exit 2 with one line, never grep's exit 1
+    # for "nothing found" nor a traceback
+    fa = tmp_path / "t.fa"
+    fa.write_text(">r1\nTTACGTACGTTGCATT\n")
+    if argv[0] != "bench":
+        argv = [*argv, "--text", str(fa)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from circmatch.cli import main; sys.exit(main())",
+             *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])

@@ -333,6 +333,15 @@ def test_save_that_fails_partway_keeps_the_earlier_file(tmp_path):
     assert path.read_bytes() == before and os.listdir(tmp_path) == ["cache.idx"]
 
 
+def test_save_under_the_longest_file_name(tmp_path):
+    # the new file of a save has a name of its own length, so a target
+    # name of 250 bytes, within NAME_MAX, saves and leaves only itself
+    idx = build_index(b"ACGTTGCAAC", 3, build_alphabet("ACGT"))
+    path = tmp_path / ("i" * 250)
+    idx.save(path)
+    assert QGramIndex.load(path) == idx and os.listdir(tmp_path) == [path.name]
+
+
 def test_pattern_digest_is_builtin_sha256():
     # the builtin module, not hashlib, which would load OpenSSL
     assert qgramindex.sha256.__module__ == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
