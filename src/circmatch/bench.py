@@ -17,13 +17,13 @@ Letters are byte values 0..sigma-1.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from dataclasses import dataclass
 
 from ._prng import random_letters
 from .alphabet import Alphabet
+from .cli import ArgumentParser
 from .qgramindex import build_index
 from .searcher import SearchPlan, search
 from .searcher import plan as make_plan
@@ -129,9 +129,9 @@ def _parse_pairs(arg: str) -> tuple[tuple[int, int], ...]:
 
 
 def main(argv: list[str]) -> int:
-    """`circmatch bench`: print one experiment's table; exit 2 with one
-    line for arguments it refuses."""
-    p = argparse.ArgumentParser(prog="circmatch bench", description="Scan-cost benchmark driver.")
+    """`circmatch bench`: print one experiment's table.  Raises ValueError
+    for arguments it refuses, which `circmatch bench` turns into exit 2."""
+    p = ArgumentParser(prog="circmatch bench", description="Scan-cost benchmark driver.")
     p.add_argument("--sigma", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pairs", required=True, help="comma-separated m:k pairs, e.g. 64:2,128:4")
@@ -139,14 +139,9 @@ def main(argv: list[str]) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["auto", "verify-all"], default="auto")
     args = p.parse_args(argv)
-    try:
-        exp = Experiment(
-            seed=args.seed, sigma=args.sigma, n=args.n, pairs=_parse_pairs(args.pairs),
-            reps=args.reps, mode=args.mode,
-        )
-        table = format_table(run_experiment(exp))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(table)
+    exp = Experiment(
+        seed=args.seed, sigma=args.sigma, n=args.n, pairs=_parse_pairs(args.pairs),
+        reps=args.reps, mode=args.mode,
+    )
+    sys.stdout.write(format_table(run_experiment(exp)))
     return 0

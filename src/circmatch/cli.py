@@ -8,7 +8,9 @@ Search usage (flags at top level), e.g.:
 
 Output is one TSV row per occurrence: record, start, length, rotation,
 distance.  Exit status follows grep: 0 when something was found, 1 when
-nothing was, 2 on errors, a failed write to stdout among them.
+nothing was, 2 on errors.  `main` is the one place where an error becomes
+exit 2 with one line: refused input, a failed read, and a failed write to
+stdout, `--help` included.
 
 `_search_main` reads the pattern and the records with
 `_records_from_bytes`, whose rules the README states; `run` checks them,
@@ -24,7 +26,7 @@ import os
 import sys
 
 from .alphabet import build_alphabet
-from .qgramindex import IndexBudgetError, QGramIndex, build_index, pattern_digest
+from .qgramindex import QGramIndex, build_index, pattern_digest
 from .searcher import SearchPlan, SearchStats, check_overrides, plan, search
 
 ORACLE_SCALE_LIMIT = 10**8
@@ -79,9 +81,9 @@ def _checked_inputs(args, pattern, records):
     if args.strict:
         named = [(f"record {name.decode('latin-1')!r}", seq) for name, seq in records]
         for what, seq in [("the pattern", pattern), *named]:
-            for ch in set(seq):
-                if alphabet.rank(ch) is None:
-                    raise ValueError(f"{what} contains letter {chr(ch)!r} outside the alphabet")
+            foreign = seq.translate(None, alphabet.letters)
+            if foreign:
+                raise ValueError(f"{what} contains letter {chr(foreign[0])!r} outside the alphabet")
     check_overrides(m, args.q, args.c, args.epsilon)
     if args.mode == "oracle":
         for name, seq in records:
@@ -89,10 +91,6 @@ def _checked_inputs(args, pattern, records):
                 raise ValueError(
                     f"oracle mode refuses n*m^2 = {len(seq) * m * m} > {ORACLE_SCALE_LIMIT}"
                 )
-        try:  # the oracle needs numpy, which searching does not
-            from . import reference  # noqa: F401
-        except ModuleNotFoundError as exc:
-            raise ValueError(f"oracle mode needs {NEEDS_NUMPY}: {exc}") from None
     return pattern, records, alphabet
 
 
@@ -126,7 +124,10 @@ def _search_and_emit(args, pattern, records, pln, idx) -> int:
     io.StringIO under contextlib.redirect_stdout, gets each chunk decoded
     as latin-1, one character a byte."""
     if pln is None:
-        from .reference import oracle_search
+        try:  # the oracle needs numpy, which searching does not
+            from .reference import oracle_search
+        except ModuleNotFoundError as exc:
+            raise ValueError(f"oracle mode needs {NEEDS_NUMPY}: {exc}") from None
     out = sys.stdout
     if hasattr(out, "buffer"):
         write = out.buffer.write
@@ -158,12 +159,8 @@ def _search_and_emit(args, pattern, records, pln, idx) -> int:
 
 def run(args, pattern: bytes, records: list[tuple[bytes, bytes]]) -> int:
     """One search run over the parsed arguments; returns the exit status."""
-    try:
-        pattern, records, alphabet = _checked_inputs(args, pattern, records)
-        pln, idx = _plan_and_index(args, pattern, alphabet)
-    except (ValueError, IndexBudgetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pattern, records, alphabet = _checked_inputs(args, pattern, records)
+    pln, idx = _plan_and_index(args, pattern, alphabet)
     return _search_and_emit(args, pattern, records, pln, idx)
 
 
@@ -204,8 +201,18 @@ def _records_from_bytes(blob: bytes) -> list[tuple[bytes, bytes]]:
     return [(name, b"".join(parts)) for name, parts in records]
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose help is a plain write to stdout: argparse's
+    own drops an OSError, so that `--help` into a full disk exited 0."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()  # parse_args exits next, before main's flush
+
+
 def _search_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = ArgumentParser(
         prog="circmatch",
         description="Find factors of a text within edit distance k of any rotation of a pattern.",
     )
@@ -238,20 +245,14 @@ def _search_parser() -> argparse.ArgumentParser:
 def _search_main(argv: list[str]) -> int:
     """A search run's exit status: its arguments parsed, its inputs read."""
     args = _search_parser().parse_args(argv)
-    try:
-        if args.pattern is not None:
-            pattern = os.fsencode(args.pattern)  # the bytes the shell passed
-        else:
-            with open(args.pattern_file, "rb") as fh:
-                (_, pattern), *more = _records_from_bytes(fh.read())
-            if more:
-                raise ValueError(
-                    f"pattern file holds {len(more) + 1} FASTA records; it must hold one"
-                )
-        records = _records_from_bytes(_read_text_source(args.text))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.pattern is not None:
+        pattern = os.fsencode(args.pattern)  # the bytes the shell passed
+    else:
+        with open(args.pattern_file, "rb") as fh:
+            (_, pattern), *more = _records_from_bytes(fh.read())
+        if more:
+            raise ValueError(f"pattern file holds {len(more) + 1} FASTA records; it must hold one")
+    records = _records_from_bytes(_read_text_source(args.text))
     return run(args, pattern, records)
 
 
@@ -265,14 +266,15 @@ def main(argv=None) -> int:
             status = _search_main(argv)
         sys.stdout.flush()  # so that a failed write shows here, not at exit
         return status
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         # a reader that closed stdout, as `head` does, stops the run without
-        # a word; any other failed write, such as to a full disk, gets one
-        # line.  What is still buffered goes to devnull, where the flush at
-        # exit cannot fail
+        # a word; any other error gets one line
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            sys.stdout.flush()
+        except OSError:  # then what is buffered goes to devnull, to flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

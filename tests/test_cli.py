@@ -273,6 +273,15 @@ def test_cli_strict_rejects_foreign_pattern_letters(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: the pattern contains letter 'N' outside the alphabet\n")
 
 
+def test_cli_strict_names_the_first_foreign_letter(tmp_path, capsys):
+    fa = tmp_path / "t.fa"
+    fa.write_text(">r\nACGTZNACGT\n")
+    code, out, err = run_cli(
+        ["--pattern", "ACGT", "--text", str(fa), "--alphabet", "dna", "--strict"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: record 'r' contains letter 'Z' outside the alphabet\n")
+
+
 def test_cli_fold_case(tmp_path, capsys):
     text = tmp_path / "t.txt"
     text.write_text("acgtacgt")
@@ -626,6 +635,8 @@ def test_cli_closed_stdout_stops_quietly(tmp_path, reader, buffered):
     pytest.param(["--pattern", "ACGTACGTTGCA", "-k", "0"], id="rows"),
     pytest.param(["--pattern", "GGGGGGGGGGGG", "-k", "0", "--header"], id="header-no-rows"),
     pytest.param(["bench", "--sigma", "4", "--n", "200", "--pairs", "16:1"], id="bench"),
+    pytest.param(["--help"], id="help"),
+    pytest.param(["bench", "--help"], id="bench-help"),
 ])
 def test_cli_failed_write_to_stdout_exits_2(tmp_path, argv, buffered):
     # a full disk is an error, exit 2 with one line, never grep's exit 1
